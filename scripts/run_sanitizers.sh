@@ -27,7 +27,7 @@ for preset in "${PRESETS[@]}"; do
   case "$preset" in
     tsan)
       ctest --preset "$preset" -j "$JOBS" \
-        -R 'ConcurrencyTest|DifferentialTest|ChaosTest' ;;
+        -R 'ConcurrencyTest|DifferentialTest|ChaosTest|NetServingTest.HandlerThreadsAreReapedAcrossQueries' ;;
     *)
       ctest --preset "$preset" -j "$JOBS" ;;
   esac

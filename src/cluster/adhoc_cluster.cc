@@ -18,31 +18,32 @@
 
 namespace expbsi {
 
+void PutSegmentBlobs(const SegmentBsiData& data, uint16_t segment,
+                     BsiStore* out) {
+  for (const auto& [strategy_id, expose] : data.expose) {
+    std::string bytes;
+    expose.Serialize(&bytes);
+    out->Put(BsiStoreKey{segment, BsiKind::kExpose, strategy_id, 0},
+             std::move(bytes));
+  }
+  for (const auto& [key, metric] : data.metrics) {
+    std::string bytes;
+    metric.Serialize(&bytes);
+    out->Put(BsiStoreKey{segment, BsiKind::kMetric, key.first, key.second},
+             std::move(bytes));
+  }
+  for (const auto& [key, dimension] : data.dimensions) {
+    std::string bytes;
+    dimension.Serialize(&bytes);
+    out->Put(BsiStoreKey{segment, BsiKind::kDimension, key.first, key.second},
+             std::move(bytes));
+  }
+}
+
 BsiStore BuildColdStore(const ExperimentBsiData& data) {
   BsiStore store;
   for (int seg = 0; seg < data.num_segments; ++seg) {
-    const SegmentBsiData& sbd = data.segments[seg];
-    for (const auto& [strategy_id, expose] : sbd.expose) {
-      std::string bytes;
-      expose.Serialize(&bytes);
-      store.Put(BsiStoreKey{static_cast<uint16_t>(seg), BsiKind::kExpose,
-                            strategy_id, 0},
-                std::move(bytes));
-    }
-    for (const auto& [key, metric] : sbd.metrics) {
-      std::string bytes;
-      metric.Serialize(&bytes);
-      store.Put(BsiStoreKey{static_cast<uint16_t>(seg), BsiKind::kMetric,
-                            key.first, key.second},
-                std::move(bytes));
-    }
-    for (const auto& [key, dimension] : sbd.dimensions) {
-      std::string bytes;
-      dimension.Serialize(&bytes);
-      store.Put(BsiStoreKey{static_cast<uint16_t>(seg), BsiKind::kDimension,
-                            key.first, key.second},
-                std::move(bytes));
-    }
+    PutSegmentBlobs(data.segments[seg], static_cast<uint16_t>(seg), &store);
   }
   return store;
 }

@@ -209,6 +209,10 @@ class AdhocCluster {
 // (the warehouse contents of Fig. 7).
 BsiStore BuildColdStore(const ExperimentBsiData& data);
 
+// BuildColdStore of one segment: puts its blobs into `out` under `segment`.
+void PutSegmentBlobs(const SegmentBsiData& data, uint16_t segment,
+                     BsiStore* out);
+
 // Inverse of BuildColdStore, for a warehouse that crossed a crash boundary:
 // decodes every blob back into an ExperimentBsiData so the full query
 // engine can run against a recovered store. Shape metadata (segment /

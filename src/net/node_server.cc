@@ -69,20 +69,44 @@ void NodeServer::Stop() {
   stop_.store(true, std::memory_order_release);
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
-  std::vector<std::thread> handlers;
+  std::unordered_map<uint64_t, std::thread> handlers;
   {
     std::lock_guard<std::mutex> lock(handlers_mu_);
     handlers.swap(handlers_);
   }
-  for (std::thread& t : handlers) {
+  for (auto& [id, t] : handlers) {
     if (t.joinable()) t.join();
   }
+  std::lock_guard<std::mutex> lock(handlers_mu_);
+  finished_handlers_.clear();
+}
+
+size_t NodeServer::live_handlers() const {
+  std::lock_guard<std::mutex> lock(handlers_mu_);
+  return handlers_.size();
+}
+
+void NodeServer::ReapFinishedHandlers() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(handlers_mu_);
+    for (uint64_t id : finished_handlers_) {
+      const auto it = handlers_.find(id);
+      if (it == handlers_.end()) continue;
+      done.push_back(std::move(it->second));
+      handlers_.erase(it);
+    }
+    finished_handlers_.clear();
+  }
+  // Each has returned from its body or is about to: the joins are short.
+  for (std::thread& t : done) t.join();
 }
 
 void NodeServer::AcceptLoop() {
   FaultInjector* const fi = FaultInjector::Get();
   while (!stop_.load(std::memory_order_acquire) &&
          !draining_.load(std::memory_order_acquire) && !crashed()) {
+    ReapFinishedHandlers();
     Result<Socket> conn = Accept(listener_, /*deadline_ms=*/50);
     if (!conn.ok()) continue;  // timeout or transient; re-check stop flag
     if (fi != nullptr) {
@@ -92,11 +116,16 @@ void NodeServer::AcceptLoop() {
       const FaultDecision d = fi->EvaluateAt(fault_sites::kNetAccept, op);
       if (d.fail || d.crash) continue;  // connection dropped at accept
     }
+    // The new thread cannot report itself finished before it is in
+    // `handlers_`: reporting takes the lock held here.
     std::lock_guard<std::mutex> lock(handlers_mu_);
-    handlers_.emplace_back(
-        [this, c = std::move(conn).value()]() mutable {
+    const uint64_t id = next_handler_++;
+    handlers_.emplace(
+        id, std::thread([this, id, c = std::move(conn).value()]() mutable {
           HandleConnection(std::move(c));
-        });
+          std::lock_guard<std::mutex> done(handlers_mu_);
+          finished_handlers_.push_back(id);
+        }));
   }
 }
 

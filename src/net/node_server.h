@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/retry.h"
@@ -78,10 +79,15 @@ class NodeServer {
   uint64_t backpressure_rejections() const {
     return backpressure_rejections_.load(std::memory_order_relaxed);
   }
+  // Handler threads not yet joined: open connections plus handlers that
+  // returned since the accept loop last reaped (it reaps every <= 50ms).
+  size_t live_handlers() const;
 
  private:
   void AcceptLoop();
   void HandleConnection(Socket conn);
+  // Joins the handler threads whose connection has ended.
+  void ReapFinishedHandlers();
   // Builds and sends the response for one query request; returns false when
   // the connection must close (injected crash or dead socket).
   bool HandleQuery(Socket& conn, uint64_t request_id,
@@ -119,8 +125,13 @@ class NodeServer {
   std::atomic<int64_t> last_query_ns_{0};
 
   std::thread accept_thread_;
-  std::mutex handlers_mu_;
-  std::vector<std::thread> handlers_;
+  mutable std::mutex handlers_mu_;
+  // One thread per accepted connection, by connection number. A handler
+  // adds its number to `finished_handlers_` as it returns; the accept loop
+  // joins and drops those, so threads do not pile up over a long run.
+  std::unordered_map<uint64_t, std::thread> handlers_;
+  std::vector<uint64_t> finished_handlers_;
+  uint64_t next_handler_ = 0;
 };
 
 }  // namespace net

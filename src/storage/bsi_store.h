@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/status.h"
 
@@ -45,6 +46,8 @@ struct BsiStoreKey {
 struct BsiStoreKeyHash {
   size_t operator()(const BsiStoreKey& k) const;
 };
+
+using BsiStoreKeySet = std::unordered_set<BsiStoreKey, BsiStoreKeyHash>;
 
 struct RecoveryReport;  // see storage/snapshot.h
 

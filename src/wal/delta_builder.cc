@@ -113,7 +113,8 @@ void DeltaBuilder::MergeExpose(
   }
 }
 
-void DeltaBuilder::MergeInto(ExperimentBsiData* data) {
+void DeltaBuilder::MergeInto(ExperimentBsiData* data,
+                             BsiStoreKeySet* touched) {
   CHECK_EQ(data->num_segments, num_segments_);
   CHECK_EQ(static_cast<int>(data->segments.size()), num_segments_);
   static obs::Counter& merges = obs::GetCounter("wal.delta_merges");
@@ -125,6 +126,21 @@ void DeltaBuilder::MergeInto(ExperimentBsiData* data) {
     SegmentDelta& delta = deltas_[static_cast<size_t>(seg)];
     if (delta.empty()) continue;
     SegmentBsiData& live = data->segments[static_cast<size_t>(seg)];
+    const uint32_t positions_before = live.encoder.size();
+    const uint16_t segment = static_cast<uint16_t>(seg);
+    if (touched != nullptr) {
+      for (const auto& [strategy_id, units] : delta.expose) {
+        touched->insert(BsiStoreKey{segment, BsiKind::kExpose, strategy_id, 0});
+      }
+      for (const auto& [key, units] : delta.metrics) {
+        touched->insert(
+            BsiStoreKey{segment, BsiKind::kMetric, key.first, key.second});
+      }
+      for (const auto& [key, units] : delta.dimensions) {
+        touched->insert(
+            BsiStoreKey{segment, BsiKind::kDimension, key.first, key.second});
+      }
+    }
 
     for (const auto& [strategy_id, units] : delta.expose) {
       MergeExpose(&live, strategy_id, units);
@@ -177,6 +193,10 @@ void DeltaBuilder::MergeInto(ExperimentBsiData* data) {
       }
     }
 
+    if (touched != nullptr && live.encoder.size() != positions_before) {
+      touched->insert(
+          BsiStoreKey{segment, BsiKind::kState, kIngestEncoderBlobId, 0});
+    }
     delta = SegmentDelta{};
   }
   num_events_ = 0;

@@ -8,9 +8,15 @@
 
 #include "engine/experiment_data.h"
 #include "expdata/schema.h"
+#include "storage/bsi_store.h"
 #include "wal/wal.h"
 
 namespace expbsi {
+
+// kState blob ids of an ingest snapshot (wal/ingest_store.h): the meta blob
+// (segment 0) and each segment's position encoder.
+inline constexpr uint64_t kIngestMetaBlobId = 0;
+inline constexpr uint64_t kIngestEncoderBlobId = 1;
 
 // Accumulates replayed WAL events into per-segment deltas and merges them
 // into a live ExperimentBsiData (DESIGN.md §8.3). The builder is the
@@ -43,8 +49,11 @@ class DeltaBuilder {
   uint64_t num_events() const { return num_events_; }
 
   // Merges every accumulated delta into `data` (whose shape must match the
-  // builder's constructor arguments) and clears the accumulators.
-  void MergeInto(ExperimentBsiData* data);
+  // builder's constructor arguments) and clears the accumulators. When
+  // `touched` is set, adds the warehouse key (BuildColdStore's layout) of
+  // every blob the merge changed, plus a segment's encoder blob
+  // (kIngestEncoderBlobId) when the merge assigned new positions.
+  void MergeInto(ExperimentBsiData* data, BsiStoreKeySet* touched = nullptr);
 
  private:
   struct SegmentDelta {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/experiment_data.h"
@@ -54,11 +55,8 @@ struct IngestCheckpointStats {
   uint32_t wal_segments_removed = 0;
 };
 
-// Format of the snapshot meta blob (BsiKind::kState, id 0).
+// Format of the snapshot meta blob (BsiKind::kState, kIngestMetaBlobId).
 inline constexpr uint32_t kIngestMetaFormatVersion = 1;
-// kState blob ids.
-inline constexpr uint64_t kIngestMetaBlobId = 0;
-inline constexpr uint64_t kIngestEncoderBlobId = 1;
 
 class IngestStore {
  public:
@@ -80,9 +78,18 @@ class IngestStore {
   Result<uint64_t> Ingest(const std::vector<WalEvent>& events);
 
   // Writes a snapshot of the live data (tagged with the last ingested
-  // sequence) and trims WAL segments the snapshot covers. On failure the
-  // previous snapshot and the full WAL stay intact.
+  // sequence) and trims WAL segments the snapshot covers. Incremental: only
+  // the blobs merged since the previous checkpoint (or since Open, WAL-tail
+  // replay included) are serialized and written, as delta files on top of
+  // the committed snapshot (SnapshotWriter::WriteDelta). On failure the
+  // previous snapshot and the full WAL stay intact, and the next checkpoint
+  // writes the same blobs again.
   Result<IngestCheckpointStats> Checkpoint();
+
+  // The whole live data serialized, kState blobs (meta + encoders)
+  // included: what recovering the latest checkpoint yields when nothing
+  // was ingested after it.
+  BsiStore BuildSnapshotStore() const;
 
   const ExperimentBsiData& data() const { return live_; }
   uint64_t last_sequence() const { return last_sequence_; }
@@ -93,8 +100,10 @@ class IngestStore {
  private:
   IngestStore(std::string snapshot_dir, IngestOptions options);
 
-  // Serializes the live data plus the kState blobs (meta + encoders).
-  BsiStore BuildSnapshotStore() const;
+  // Serializes the live blob under `key` (which must exist) / every blob
+  // of `segment`, in BuildSnapshotStore's layout.
+  std::string SerializeBlob(const BsiStoreKey& key) const;
+  void SerializeSegment(uint16_t segment, BsiStore* out) const;
 
   std::string snapshot_dir_;
   IngestOptions options_;
@@ -102,6 +111,14 @@ class IngestStore {
   std::unique_ptr<WalWriter> wal_;
   uint64_t last_sequence_ = 0;        // last sequence merged into live_
   uint64_t checkpoint_sequence_ = 0;  // last sequence covered by a snapshot
+  // Snapshot version the live data was last committed as (0 = none), the
+  // blobs merged since then, and the payload bytes of every blob that
+  // version holds (the writer's live sizes for the 2x rule). Every live
+  // blob is in `persisted_bytes_`, in `dirty_`, or both.
+  uint64_t snapshot_version_ = 0;
+  BsiStoreKeySet dirty_;
+  std::unordered_map<BsiStoreKey, uint64_t, BsiStoreKeyHash>
+      persisted_bytes_;
 };
 
 }  // namespace expbsi

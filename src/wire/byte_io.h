@@ -9,12 +9,13 @@
 namespace expbsi {
 namespace wire {
 
-// Little-endian byte IO for the wire protocol (DESIGN.md §9). Same
-// byte-order and framing idioms as the WAL and snapshot formats, factored
-// out because the envelope codec, the message payload codecs and their fuzz
-// harness all need one canonical encoding: every value has exactly one byte
-// representation, so "decode then re-encode" is bit-identity -- the
-// round-trip contract the decode fuzzer asserts.
+// Little-endian byte IO for the wire protocol (DESIGN.md §9) and the
+// snapshot format (§6): segment files, chain manifests and the ingest meta
+// blob. Factored out because the envelope codec, the message payload
+// codecs, the snapshot reader and their fuzz harness all need one canonical
+// encoding: every value has exactly one byte representation on any host,
+// so "decode then re-encode" is bit-identity -- the round-trip contract
+// the decode fuzzer asserts.
 
 inline void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
@@ -130,6 +131,14 @@ class ByteReader {
     if (len > max_len || remaining() < len) return false;
     out->assign(p_, len);
     p_ += len;
+    return true;
+  }
+  // The next `n` bytes as a view into the payload (no copy); false when
+  // fewer remain.
+  bool ReadView(size_t n, std::string_view* out) {
+    if (remaining() < n) return false;
+    *out = std::string_view(p_, n);
+    p_ += n;
     return true;
   }
   // Count prefix for an array of `elem_bytes`-sized elements: rejects any

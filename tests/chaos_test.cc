@@ -958,6 +958,241 @@ TEST(SnapshotChaosTest, RecoverAfterBitflippedBlockQuarantines) {
 }
 
 // ---------------------------------------------------------------------------
+// Delta commits (SnapshotWriter::WriteDelta): the same property for a
+// version that extends the chains of the one before it -- a killed delta
+// or compaction commit recovers the previous version, never a chain that
+// mixes the two.
+// ---------------------------------------------------------------------------
+
+// A later version of `base`: every blob is replaced with probability
+// `replace_p` (by fewer or more bytes, so some segments cross the 2x rule
+// and some do not), segments may gain a blob, and segments at or past
+// base's count are new.
+BsiStore EvolveChaosStore(const BsiStore& base, uint64_t seed,
+                          int num_segments, double replace_p) {
+  Rng rng(seed);
+  BsiStore out;
+  auto random_bytes = [&rng] {
+    const uint64_t len = rng.NextBernoulli(0.5) ? 1 + rng.NextBounded(8)
+                                                : 1 + rng.NextBounded(900);
+    std::string bytes(len, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng.Next() & 0xff);
+    return bytes;
+  };
+  std::map<SnapBlobKey, std::string> blobs = SnapContentsOf(base);
+  for (auto& [key, bytes] : blobs) {
+    if (rng.NextBernoulli(replace_p)) bytes = random_bytes();
+  }
+  for (int seg = 0; seg < num_segments; ++seg) {
+    if (rng.NextBernoulli(0.3)) {
+      blobs[{static_cast<uint16_t>(seg), 1, 90, 7}] = random_bytes();
+    }
+  }
+  std::set<uint16_t> filled;
+  for (const auto& [key, bytes] : blobs) {
+    if (std::get<0>(key) >= num_segments) continue;
+    out.Put(BsiStoreKey{std::get<0>(key),
+                        static_cast<BsiKind>(std::get<1>(key)),
+                        std::get<2>(key), std::get<3>(key)},
+            bytes);
+    filled.insert(std::get<0>(key));
+  }
+  for (int seg = 0; seg < num_segments; ++seg) {
+    if (filled.count(static_cast<uint16_t>(seg)) > 0) continue;
+    BsiStoreKey key;  // a new segment: at least one blob
+    key.segment = static_cast<uint16_t>(seg);
+    key.id = 91;
+    out.Put(key, random_bytes());
+  }
+  return out;
+}
+
+// `after` as a delta on top of the committed version `base_version` of
+// `before`: the blobs that differ go to `changed`, the sizes and the
+// whole-segment loader come from `after`.
+SnapshotDelta DeltaBetween(const BsiStore& before, const BsiStore& after,
+                           uint64_t base_version, BsiStore* changed) {
+  const std::map<SnapBlobKey, std::string> old_blobs = SnapContentsOf(before);
+  SnapshotDelta delta;
+  delta.base_version = base_version;
+  delta.changed = changed;
+  after.ForEach([&](const BsiStoreKey& key, const std::string& bytes) {
+    SnapshotSegmentSize& size = delta.live[key.segment];
+    ++size.blobs;
+    size.payload_bytes += bytes.size();
+    const auto it = old_blobs.find(
+        {key.segment, static_cast<uint8_t>(key.kind), key.id, key.date});
+    if (it == old_blobs.end() || it->second != bytes) changed->Put(key, bytes);
+  });
+  delta.load_segment = [&after](uint16_t segment, BsiStore* out) {
+    after.ForEach([&](const BsiStoreKey& key, const std::string& bytes) {
+      if (key.segment == segment) out->Put(key, bytes);
+    });
+  };
+  return delta;
+}
+
+// One seeded iteration: v1 committed clean, v2 attempted as a delta under a
+// generated fault schedule, recovery checked against whichever version the
+// manifest selected.
+void RunDeltaChaosIteration(uint64_t seed, const std::string& dir) {
+  Rng rng(seed);
+  const int v1_segments = 1 + static_cast<int>(rng.NextBounded(3));
+  const BsiStore v1 = MakeChaosStore(rng.Next(), v1_segments);
+  ASSERT_TRUE(SnapshotWriter::Write(v1, dir).ok());
+  const int v2_segments = v1_segments + (rng.NextBernoulli(0.3) ? 1 : 0);
+  const BsiStore v2 =
+      EvolveChaosStore(v1, rng.Next(), v2_segments, /*replace_p=*/0.5);
+  BsiStore changed;
+  const SnapshotDelta delta = DeltaBetween(v1, v2, 1, &changed);
+  const propgen::FaultSchedule schedule = propgen::GenSnapshotFaultSchedule(
+      rng, static_cast<uint64_t>(v2_segments) + 1);
+
+  FaultInjector injector(schedule.injector_seed);
+  schedule.ApplyTo(&injector);
+  Result<SnapshotWriteStats> written(Status::Unavailable("not run"));
+  Result<BsiStore> recovered(Status::Unavailable("not run"));
+  RecoveryReport report;
+  {
+    ScopedFaultInjection scoped(&injector);
+    written = SnapshotWriter::WriteDelta(delta, dir);
+    recovered = BsiStore::Recover(dir, &report);
+  }
+  const std::string ctx = SnapCtx(seed, "delta chaos");
+  ASSERT_TRUE(recovered.ok()) << ctx << ": "
+                              << recovered.status().ToString();
+  ASSERT_TRUE(report.manifest_version == 1 || report.manifest_version == 2)
+      << ctx << " manifest version " << report.manifest_version;
+  if (!written.ok()) {
+    EXPECT_EQ(report.manifest_version, 1u)
+        << ctx << " failed commit must not be visible";
+  }
+  ExpectRecoveredConsistent(recovered.value(), report,
+                            report.manifest_version == 2 ? v2 : v1, ctx);
+  if (ChaosLogEnabled()) {
+    std::fprintf(
+        stderr,
+        "[deltachaos] seed=%llu write_ok=%d version=%llu lost=%d "
+        "skipped=%u delta_files=%u compactions=%u injected=%llu\n",
+        static_cast<unsigned long long>(seed), written.ok() ? 1 : 0,
+        static_cast<unsigned long long>(report.manifest_version),
+        static_cast<int>(report.lost_segments.size()),
+        report.manifests_skipped,
+        written.ok() ? written.value().delta_files : 0u,
+        written.ok() ? written.value().compactions : 0u,
+        static_cast<unsigned long long>(injector.stats().any()));
+  }
+}
+
+TEST(SnapshotChaosTest, DeltaCommitSurvivesSeededKillSchedules) {
+  const std::string dir = SnapshotChaosDir("delta_seeded");
+  for (uint64_t seed : SnapshotSeedSchedule(0xDE17A5EEDull)) {
+    const Result<std::vector<std::string>> listing = fileio::ListDir(dir);
+    ASSERT_TRUE(listing.ok());
+    for (const std::string& entry : listing.value()) {
+      ASSERT_TRUE(fileio::RemoveFileIfExists(dir + "/" + entry).ok());
+    }
+    RunDeltaChaosIteration(seed, dir);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// Kill at every write and rename of a delta commit of `v2` on top of `v1`
+// (`ops` files in all, the manifest last): each kill recovers v1 exactly,
+// and a clean retry commits v2 with `compactions` segments rewritten whole.
+// `name` also names the scratch directory: ctest runs each test as its own
+// process, concurrently.
+void KillSweepDeltaCommit(const BsiStore& v1, const BsiStore& v2,
+                          uint64_t ops, uint32_t compactions,
+                          const std::string& name) {
+  const char* sites[] = {fault_sites::kSnapshotWrite,
+                         fault_sites::kSnapshotRename};
+  for (const char* site : sites) {
+    for (uint64_t k = 0; k < ops; ++k) {
+      const std::string ctx = name + ": kill at " + site + " op " +
+                              std::to_string(k);
+      const std::string dir = SnapshotChaosDir(name);
+      ASSERT_TRUE(SnapshotWriter::Write(v1, dir).ok()) << ctx;
+      BsiStore changed;
+      const SnapshotDelta delta = DeltaBetween(v1, v2, 1, &changed);
+      {
+        FaultInjector injector(7);
+        injector.ScheduleFault(site, k, FaultKind::kCrash);
+        ScopedFaultInjection scoped(&injector);
+        EXPECT_FALSE(SnapshotWriter::WriteDelta(delta, dir).ok()) << ctx;
+        EXPECT_EQ(injector.stats().any(), 1u) << ctx << " kill never fired";
+      }
+      RecoveryReport report;
+      Result<BsiStore> recovered = BsiStore::Recover(dir, &report);
+      ASSERT_TRUE(recovered.ok()) << ctx;
+      EXPECT_EQ(report.manifest_version, 1u) << ctx;
+      EXPECT_TRUE(report.fully_recovered()) << ctx;
+      ExpectRecoveredConsistent(recovered.value(), report, v1, ctx);
+
+      const Result<SnapshotWriteStats> retry =
+          SnapshotWriter::WriteDelta(delta, dir);
+      ASSERT_TRUE(retry.ok()) << ctx << ": " << retry.status().ToString();
+      EXPECT_EQ(retry.value().segment_files + 1, ops) << ctx;
+      EXPECT_EQ(retry.value().compactions, compactions) << ctx;
+      EXPECT_EQ(retry.value().delta_files + compactions,
+                retry.value().segment_files)
+          << ctx;
+      report = RecoveryReport();
+      recovered = BsiStore::Recover(dir, &report);
+      ASSERT_TRUE(recovered.ok()) << ctx;
+      EXPECT_EQ(report.manifest_version, 2u) << ctx;
+      EXPECT_TRUE(report.fully_recovered()) << ctx;
+      ExpectRecoveredConsistent(recovered.value(), report, v2,
+                                ctx + " after retry");
+      const Result<std::vector<std::string>> listing = fileio::ListDir(dir);
+      ASSERT_TRUE(listing.ok());
+      for (const std::string& file : listing.value()) {
+        EXPECT_EQ(file.find(".tmp"), std::string::npos)
+            << ctx << " stale temp file " << file << " survived the commit";
+      }
+    }
+  }
+}
+
+// Blobs of `store` with segment `segment`'s replaced by `make(key)`.
+template <typename Fn>
+BsiStore ReplaceSegmentBlobs(const BsiStore& store, uint16_t segment,
+                             Fn make) {
+  BsiStore out;
+  store.ForEach([&](const BsiStoreKey& key, const std::string& bytes) {
+    out.Put(key, key.segment == segment ? make(key) : bytes);
+  });
+  return out;
+}
+
+TEST(SnapshotChaosTest, KillSweepMidDeltaCommitNeverTearsASnapshot) {
+  const BsiStore v1 = MakeChaosStore(601, 3);
+  // Segments 0 and 2 grow (their superseded bytes stay under the live
+  // bytes): two delta files plus the manifest; segment 1 keeps its chain.
+  const BsiStore half = ReplaceSegmentBlobs(v1, 0, [](const BsiStoreKey& k) {
+    return std::string(600, static_cast<char>('a' + k.id % 7));
+  });
+  const BsiStore v2 = ReplaceSegmentBlobs(half, 2, [](const BsiStoreKey& k) {
+    return std::string(700, static_cast<char>('k' + k.id % 5));
+  });
+  KillSweepDeltaCommit(v1, v2, /*ops=*/3, /*compactions=*/0,
+                       "delta_commit");
+}
+
+TEST(SnapshotChaosTest, KillSweepMidCompactionCommitNeverTearsASnapshot) {
+  const BsiStore v1 = ReplaceSegmentBlobs(
+      MakeChaosStore(701, 3), 1,
+      [](const BsiStoreKey& k) { return std::string(400, 'c' + k.id % 3); });
+  // Segment 1's blobs shrink to one byte each: its superseded v1 bytes
+  // exceed the live bytes, so the commit rewrites it as a one-file chain.
+  const BsiStore v2 = ReplaceSegmentBlobs(v1, 1, [](const BsiStoreKey& k) {
+    return std::string(1, static_cast<char>('z' - k.id % 3));
+  });
+  KillSweepDeltaCommit(v1, v2, /*ops=*/2, /*compactions=*/1,
+                       "compaction_commit");
+}
+
+// ---------------------------------------------------------------------------
 // WAL kill-recovery chaos (DESIGN.md §8.4). The property under test: a
 // writer killed at ANY append, fsync barrier or segment roll leaves a log
 // from which IngestStore::Open recovers an exact prefix of the acked batch

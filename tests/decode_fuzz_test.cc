@@ -41,6 +41,7 @@
 #include <gtest/gtest.h>
 
 #include "bsi/bsi.h"
+#include "common/crc32c.h"
 #include "common/file_io.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -926,6 +927,133 @@ TEST(DecodeFuzzTest, SnapshotRecoverySurvivesMutations) {
 }
 
 // ---------------------------------------------------------------------------
+// Chain manifests (DESIGN.md §6). Mutated bodies are re-sealed with a valid
+// CRC, so the mutations reach the structural checks behind the checksum:
+// decoding fails cleanly, or every chain either carries its error or obeys
+// every chain rule, and a clean decode re-encodes bit-identically.
+// ---------------------------------------------------------------------------
+
+SnapshotManifest RandomManifest(Rng& rng) {
+  SnapshotManifest m;
+  m.version = 1 + rng.NextBounded(40);
+  const int chains = static_cast<int>(rng.NextBounded(5));
+  uint16_t segment = 0;
+  for (int c = 0; c < chains; ++c) {
+    SnapshotChain chain;
+    segment = static_cast<uint16_t>(segment + 1 + rng.NextBounded(3));
+    chain.segment = segment;
+    uint64_t version = 0;
+    const int files = 1 + static_cast<int>(rng.NextBounded(5));
+    for (int f = 0; f < files; ++f) {
+      version += 1 + rng.NextBounded(3);
+      if (version > m.version) break;
+      chain.files.push_back(SnapshotChainFile{
+          SnapshotSegmentFileName(segment, version), version,
+          kSegmentFileHeaderBytes + rng.NextBounded(5000),
+          rng.NextBounded(20)});
+    }
+    if (chain.files.empty()) {
+      chain.files.push_back(SnapshotChainFile{
+          SnapshotSegmentFileName(segment, m.version), m.version,
+          kSegmentFileHeaderBytes, 0});
+    }
+    m.chains.push_back(std::move(chain));
+  }
+  return m;
+}
+
+void RunManifestIteration(uint64_t seed) {
+  Rng rng(seed);
+  const std::string ctx = Ctx(seed, "manifest");
+  const SnapshotManifest manifest = RandomManifest(rng);
+  const std::string clean = EncodeSnapshotManifest(manifest);
+  const Result<SnapshotManifest> round =
+      DecodeSnapshotManifest(clean, manifest.version);
+  ASSERT_TRUE(round.ok()) << ctx << ": " << round.status().ToString();
+  for (const SnapshotChain& chain : round.value().chains) {
+    ASSERT_TRUE(chain.error.empty()) << ctx << ": " << chain.error;
+  }
+  ASSERT_EQ(EncodeSnapshotManifest(round.value()), clean) << ctx;
+
+  std::string body = Mutate(rng, clean.substr(0, clean.size() - 4),
+                            RandomMutation(rng));
+  wire::PutU32(&body, Crc32c(body));
+  const Result<SnapshotManifest> got =
+      DecodeSnapshotManifest(body, manifest.version);
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << ctx;
+    return;
+  }
+  EXPECT_EQ(got.value().version, manifest.version) << ctx;
+  for (const SnapshotChain& chain : got.value().chains) {
+    if (!chain.error.empty()) continue;
+    ASSERT_FALSE(chain.files.empty()) << ctx;
+    uint64_t prev = 0;
+    for (const SnapshotChainFile& file : chain.files) {
+      EXPECT_GT(file.version, prev) << ctx;
+      EXPECT_LE(file.version, manifest.version) << ctx;
+      EXPECT_EQ(file.name, SnapshotSegmentFileName(chain.segment,
+                                                   file.version))
+          << ctx;
+      EXPECT_LE(file.file_size, kMaxSegmentFileBytes) << ctx;
+      prev = file.version;
+    }
+  }
+  EXPECT_EQ(EncodeSnapshotManifest(got.value()), body)
+      << ctx << " decode is not canonical";
+}
+
+TEST(DecodeFuzzTest, SnapshotManifestSurvivesMutations) {
+  for (uint64_t seed : FuzzSeedSchedule(0x3A1F357ull)) {
+    RunManifestIteration(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// A manifest that passes every check but names a chain file that is not on
+// disk, or names one file twice: that segment is lost and reported, the
+// others recover.
+TEST(DecodeFuzzTest, ChainNamingMissingOrDuplicateFileLosesOnlyThatSegment) {
+  const std::string dir = FuzzDir("chain_rules");
+  BsiStore store;
+  for (uint16_t seg = 0; seg < 3; ++seg) {
+    BsiStoreKey key;
+    key.segment = seg;
+    key.id = 5;
+    store.Put(key, std::string(20 + seg, 'x'));
+  }
+  ASSERT_TRUE(SnapshotWriter::Write(store, dir).ok());
+  const Result<std::string> bytes = fileio::ReadFileToString(
+      dir + "/" + SnapshotManifestName(1), kMaxManifestBytes);
+  ASSERT_TRUE(bytes.ok());
+  Result<SnapshotManifest> manifest = DecodeSnapshotManifest(bytes.value(), 1);
+  ASSERT_TRUE(manifest.ok());
+  SnapshotManifest next = manifest.value();
+  next.version = 2;
+  // Segment 1 names a file no writer produced; segment 2 names its base
+  // twice.
+  next.chains[1].files.push_back(SnapshotChainFile{
+      SnapshotSegmentFileName(1, 2), 2, kSegmentFileHeaderBytes, 0});
+  next.chains[2].files.push_back(next.chains[2].files[0]);
+  {
+    std::ofstream out(dir + "/" + SnapshotManifestName(2),
+                      std::ios::binary | std::ios::trunc);
+    const std::string encoded = EncodeSnapshotManifest(next);
+    out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
+  }
+  RecoveryReport report;
+  const Result<BsiStore> recovered = BsiStore::Recover(dir, &report);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(report.manifest_version, 2u);
+  EXPECT_EQ(report.segments_recovered, (std::vector<uint16_t>{0}));
+  EXPECT_EQ(report.lost_segments, (std::vector<uint16_t>{1, 2}));
+  ASSERT_EQ(report.errors.size(), 2u);
+  EXPECT_NE(report.errors[1].find("duplicate file"), std::string::npos)
+      << report.errors[1];
+  EXPECT_EQ(recovered.value().NumBlobs(), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // WAL segments: the CRC-framed replay path (DESIGN.md §8.1-8.2). The log's
 // contract under arbitrary at-rest corruption:
 //
@@ -1225,7 +1353,8 @@ TEST(DecodeFuzzTest, HostileCountsFailBeforeAllocation) {
 // Regression corpus: hand-crafted malformed blobs, every one of which must
 // be rejected cleanly. Lines: "<decoder> <hex>  # comment", decoder one of
 // container / roaring / bsi / storefile / envelope / queryrequest /
-// queryresponse / wireerror / segmentfetch / segmentpush.
+// queryresponse / wireerror / segmentfetch / segmentpush / statsfetch /
+// statsreply / manifest.
 // ---------------------------------------------------------------------------
 
 TEST(DecodeFuzzTest, MalformedCorpusIsRejected) {
@@ -1274,6 +1403,20 @@ TEST(DecodeFuzzTest, MalformedCorpusIsRejected) {
       EXPECT_FALSE(wire::DecodeStatsFetch(bytes).ok()) << ctx;
     } else if (decoder == "statsreply") {
       EXPECT_FALSE(wire::DecodeStatsReply(bytes).ok()) << ctx;
+    } else if (decoder == "manifest") {
+      // The hex is a manifest body for MANIFEST-0000000000000001; its CRC
+      // is appended here so the entry reaches the check it names. Rejected
+      // means the decode fails or some chain is marked lost.
+      std::string sealed = bytes;
+      wire::PutU32(&sealed, Crc32c(sealed));
+      const Result<SnapshotManifest> m = DecodeSnapshotManifest(sealed, 1);
+      bool rejected = !m.ok();
+      if (m.ok()) {
+        for (const SnapshotChain& chain : m.value().chains) {
+          rejected = rejected || !chain.error.empty();
+        }
+      }
+      EXPECT_TRUE(rejected) << ctx;
     } else {
       ADD_FAILURE() << "unknown decoder in corpus: " << decoder;
     }

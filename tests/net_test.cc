@@ -8,10 +8,12 @@
 // in net_process_test.cc.
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -585,6 +587,37 @@ TEST_F(NetServingTest, BackpressureRejectsBeyondMaxInflight) {
   EXPECT_EQ(err.value().code, StatusCode::kUnavailable);
   EXPECT_EQ(node.backpressure_rejections(), 1u);
   node.Stop();
+}
+
+// Every coordinator RPC opens a connection, served on its own node thread.
+// Finished handlers are joined as they exit, so over hundreds of
+// sequential queries the node holds threads only for connections still
+// open -- instead of one thread stack per query until Stop().
+TEST_F(NetServingTest, HandlerThreadsAreReapedAcrossQueries) {
+  net::CoordinatorOptions options;
+  std::vector<std::unique_ptr<net::NodeServer>> nodes =
+      StartNodes(1, &options);
+  net::Coordinator coordinator(options);
+  size_t peak = 0;
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(coordinator.QueryBsi({801}, {901}, 10, 11).ok()) << i;
+    peak = std::max(peak, nodes[0]->live_handlers());
+  }
+  EXPECT_LE(peak, 16u);
+  for (int i = 0; i < 200 && nodes[0]->live_handlers() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(nodes[0]->live_handlers(), 0u);
+  // Stop() still drains: a connection left open is joined there.
+  const net::Deadline deadline = net::Deadline::After(5.0);
+  Result<net::Socket> open = net::Connect(nodes[0]->port(), deadline);
+  ASSERT_TRUE(open.ok());
+  for (int i = 0; i < 200 && nodes[0]->live_handlers() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(nodes[0]->live_handlers(), 1u);
+  nodes[0]->Stop();
+  EXPECT_EQ(nodes[0]->live_handlers(), 0u);
 }
 
 TEST_F(NetServingTest, AdmissionControlRejectsExcessQueries) {
