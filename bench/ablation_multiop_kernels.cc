@@ -1,9 +1,11 @@
 // Ablation: multi-operand kernels (CSA sumBSI, lazy union accumulation) vs
-// the legacy pairwise-chain folds, on the workloads the paper's wins reduce
-// to -- the Fig. 6 pre-aggregate sum over N days and the Table 6 per-user
-// multi-day aggregation. Reports time per op AND heap allocation churn per
-// op (this binary replaces global operator new to count every allocation),
-// since the pairwise chain's cost is mostly re-materializing containers.
+// pairwise-chain folds, on the workloads the paper's wins reduce to -- the
+// Fig. 6 pre-aggregate sum over N days and the Table 6 per-user multi-day
+// aggregation. Reports time per op AND heap allocation churn per op (this
+// binary replaces global operator new to count every allocation), since the
+// pairwise chain's cost is mostly re-materializing containers. The pairwise
+// folds are a frozen copy kept in this file: the library has one kernel
+// path, and this baseline exists only to be measured against it.
 //
 // Machine-readable output: one BENCHJSON line per measurement,
 //   BENCHJSON {"op": ..., "ns_per_op": ..., "bytes_per_op": ...,
@@ -12,6 +14,7 @@
 
 #include "bench/alloc_counter.h"  // must precede use of new/delete
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -19,12 +22,90 @@
 
 #include "bench/bench_util.h"
 #include "bsi/bsi_aggregate.h"
+#include "common/bit_util.h"
 #include "common/rng.h"
 #include "common/timer.h"
 
 using namespace expbsi;
 
 namespace {
+
+// --- Frozen pairwise baseline ------------------------------------------------
+
+const RoaringBitmap& SliceOrEmpty(const Bsi& x, int i) {
+  static const RoaringBitmap* empty = new RoaringBitmap();
+  return i < x.num_slices() ? x.slice(i) : *empty;
+}
+
+// Slice-by-slice ripple-carry adder: three allocating container ops per
+// slice.
+Bsi AddPairwise(const Bsi& x, const Bsi& y) {
+  if (x.IsEmpty()) return y;
+  if (y.IsEmpty()) return x;
+  const int s = std::max(x.num_slices(), y.num_slices());
+  std::vector<RoaringBitmap> slices;
+  slices.reserve(s + 1);
+  RoaringBitmap carry;
+  for (int i = 0; i < s; ++i) {
+    const RoaringBitmap& xi = SliceOrEmpty(x, i);
+    const RoaringBitmap& yi = SliceOrEmpty(y, i);
+    RoaringBitmap xy = RoaringBitmap::Xor(xi, yi);
+    // sum bit = xi ^ yi ^ carry; carry' = (xi & yi) | ((xi ^ yi) & carry).
+    RoaringBitmap next_carry = RoaringBitmap::Or(
+        RoaringBitmap::And(xi, yi), RoaringBitmap::And(xy, carry));
+    slices.push_back(RoaringBitmap::Xor(xy, carry));
+    carry = std::move(next_carry);
+  }
+  if (!carry.IsEmpty()) slices.push_back(std::move(carry));
+  return Bsi::FromSlices(std::move(slices),
+                         RoaringBitmap::Or(x.existence(), y.existence()));
+}
+
+Bsi SumBsiPairwise(const std::vector<const Bsi*>& inputs) {
+  Bsi acc;
+  bool seeded = false;
+  for (const Bsi* input : inputs) {
+    if (input->IsEmpty()) continue;
+    if (!seeded) {
+      acc = *input;  // one copy to seed, instead of Add(empty, x) per round
+      seeded = true;
+    } else {
+      acc = AddPairwise(acc, *input);
+    }
+  }
+  return acc;
+}
+
+RoaringBitmap DistinctPosPairwise(const std::vector<const Bsi*>& inputs) {
+  RoaringBitmap out;
+  for (const Bsi* input : inputs) out.OrInPlace(input->existence());
+  return out;
+}
+
+// Shift-add w * X per input, then a left fold of the terms.
+Bsi WeightedSumBsiPairwise(const std::vector<WeightedBsi>& inputs) {
+  Bsi acc;
+  bool seeded = false;
+  for (const WeightedBsi& input : inputs) {
+    if (input.weight == 0 || input.bsi->IsEmpty()) continue;
+    Bsi term;
+    uint64_t bits = input.weight;
+    while (bits != 0) {
+      const int b = CountTrailingZeros64(bits);
+      term = AddPairwise(term, Bsi::ShiftLeft(*input.bsi, b));
+      bits &= bits - 1;
+    }
+    if (!seeded) {
+      acc = std::move(term);
+      seeded = true;
+    } else {
+      acc = AddPairwise(acc, term);
+    }
+  }
+  return acc;
+}
+
+// --- Workloads ---------------------------------------------------------------
 
 // Per-day metric BSIs in the Fig. 6 shape: a fraction of users participates
 // each day with a zipf-ish small value.
@@ -119,8 +200,8 @@ int main() {
 
   // The two paths under comparison must agree bit for bit on this exact
   // workload, or the timings below are meaningless.
-  if (!(SumBsiCsa(all_days) == SumBsiPairwise(all_days)) ||
-      !(DistinctPosLazy(all_days) == DistinctPosPairwise(all_days))) {
+  if (!(SumBsi(all_days) == SumBsiPairwise(all_days)) ||
+      !(DistinctPos(all_days) == DistinctPosPairwise(all_days))) {
     std::printf("KERNEL MISMATCH: CSA/lazy disagrees with pairwise!\n");
     return 1;
   }
@@ -130,13 +211,13 @@ int main() {
 
   // N-operand sumBSI, N = 8 (the acceptance-criteria workload) and N = 28.
   const Measurement csa8 =
-      Measure(5, [&] { SumBsiCsa(eight_days).Sum(); });
+      Measure(5, [&] { SumBsi(eight_days).Sum(); });
   Report("sum_bsi_csa_n8", csa8);
   const Measurement pair8 =
       Measure(5, [&] { SumBsiPairwise(eight_days).Sum(); });
   Report("sum_bsi_pairwise_n8", pair8);
 
-  const Measurement csa28 = Measure(3, [&] { SumBsiCsa(all_days).Sum(); });
+  const Measurement csa28 = Measure(3, [&] { SumBsi(all_days).Sum(); });
   Report("sum_bsi_csa_n28", csa28);
   const Measurement pair28 =
       Measure(3, [&] { SumBsiPairwise(all_days).Sum(); });
@@ -146,7 +227,7 @@ int main() {
   // the dense metric existences above and on sparse visitor masks spread
   // over an 8x wider position universe.
   const Measurement lazy =
-      Measure(5, [&] { DistinctPosLazy(all_days).Cardinality(); });
+      Measure(5, [&] { DistinctPos(all_days).Cardinality(); });
   Report("distinct_pos_lazy_n28", lazy);
   const Measurement pairwise_or =
       Measure(5, [&] { DistinctPosPairwise(all_days).Cardinality(); });
@@ -156,12 +237,12 @@ int main() {
       MakeSparseVisitorBsis(users * 8, kDays, 0.015);
   std::vector<const Bsi*> visitor_days;
   for (const Bsi& b : visitors) visitor_days.push_back(&b);
-  if (!(DistinctPosLazy(visitor_days) == DistinctPosPairwise(visitor_days))) {
+  if (!(DistinctPos(visitor_days) == DistinctPosPairwise(visitor_days))) {
     std::printf("KERNEL MISMATCH: lazy union disagrees on sparse masks!\n");
     return 1;
   }
   const Measurement lazy_sparse =
-      Measure(5, [&] { DistinctPosLazy(visitor_days).Cardinality(); });
+      Measure(5, [&] { DistinctPos(visitor_days).Cardinality(); });
   Report("distinct_pos_lazy_sparse_n28", lazy_sparse);
   const Measurement pairwise_sparse =
       Measure(5, [&] { DistinctPosPairwise(visitor_days).Cardinality(); });
@@ -173,7 +254,7 @@ int main() {
     weighted.push_back({&days[i], static_cast<uint64_t>(1 + 3 * i)});
   }
   const Measurement wcsa =
-      Measure(5, [&] { WeightedSumBsiCsa(weighted).Sum(); });
+      Measure(5, [&] { WeightedSumBsi(weighted).Sum(); });
   Report("weighted_sum_csa_n8", wcsa);
   const Measurement wpair =
       Measure(5, [&] { WeightedSumBsiPairwise(weighted).Sum(); });

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstring>
 
 #include "bsi/bsi_aggregate.h"
 #include "bsi/bsi_compare.h"
 #include "common/bit_util.h"
+#include "common/byte_io.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 
@@ -22,10 +22,6 @@ const RoaringBitmap& EmptyBitmap() {
 
 const RoaringBitmap& SliceOrEmpty(const Bsi& x, int i) {
   return i < x.num_slices() ? x.slice(i) : EmptyBitmap();
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 }  // namespace
@@ -120,45 +116,13 @@ void Bsi::TrimTopSlices() {
 Bsi Bsi::Add(const Bsi& x, const Bsi& y) {
   if (x.IsEmpty()) return y;
   if (y.IsEmpty()) return x;
-  if (GetMultiOpKernel() == MultiOpKernel::kMultiOperand) {
-    // Two-operand sums ride the word-level carry-save kernel: one fused
-    // word pass per input container instead of three allocating container
-    // ops per slice.
-    return SumBsiCsa({&x, &y});
-  }
-  return AddPairwise(x, y);
+  // Two-operand sums ride the word-level carry-save kernel: one fused word
+  // pass per input container instead of three allocating container ops per
+  // slice.
+  return SumBsi({&x, &y});
 }
 
 void Bsi::AddInPlace(const Bsi& other) { *this = Add(*this, other); }
-
-Bsi Bsi::AddPairwise(const Bsi& x, const Bsi& y) {
-  // One count per pairwise add (the baseline the CSA kernel beats); slice
-  // work is amortized into a single counted batch, not counted per slice.
-  static obs::Counter& adds = obs::GetCounter("kernel.pairwise_adds");
-  static obs::Counter& slices = obs::GetCounter("kernel.pairwise_slices");
-  adds.Add();
-  if (x.IsEmpty()) return y;
-  if (y.IsEmpty()) return x;
-  const int s = std::max(x.num_slices(), y.num_slices());
-  slices.Add(static_cast<uint64_t>(s));
-  Bsi out;
-  out.slices_.reserve(s + 1);
-  RoaringBitmap carry;
-  for (int i = 0; i < s; ++i) {
-    const RoaringBitmap& xi = SliceOrEmpty(x, i);
-    const RoaringBitmap& yi = SliceOrEmpty(y, i);
-    RoaringBitmap xy = RoaringBitmap::Xor(xi, yi);
-    // sum bit = xi ^ yi ^ carry; carry' = (xi & yi) | ((xi ^ yi) & carry).
-    RoaringBitmap next_carry = RoaringBitmap::Or(
-        RoaringBitmap::And(xi, yi), RoaringBitmap::And(xy, carry));
-    out.slices_.push_back(RoaringBitmap::Xor(xy, carry));
-    carry = std::move(next_carry);
-  }
-  if (!carry.IsEmpty()) out.slices_.push_back(std::move(carry));
-  out.TrimTopSlices();
-  out.existence_ = RoaringBitmap::Or(x.existence_, y.existence_);
-  return out;
-}
 
 Bsi Bsi::Subtract(const Bsi& x, const Bsi& y) {
   if (y.IsEmpty()) return x;
@@ -241,19 +205,9 @@ Bsi Bsi::AddScalar(const Bsi& x, uint64_t k) {
 Bsi Bsi::MultiplyScalar(const Bsi& x, uint64_t k) {
   if (k == 0 || x.IsEmpty()) return Bsi();
   if ((k & (k - 1)) == 0) return ShiftLeft(x, CountTrailingZeros64(k));
-  if (GetMultiOpKernel() == MultiOpKernel::kMultiOperand) {
-    // One carry-save pass over all shifted copies at once, instead of
-    // popcount(k) - 1 full adds that each reallocate the accumulator.
-    return WeightedSumBsiCsa({{&x, k}});
-  }
-  Bsi acc;
-  uint64_t bits = k;
-  while (bits != 0) {
-    const int bit = CountTrailingZeros64(bits);
-    acc = AddPairwise(acc, ShiftLeft(x, bit));
-    bits &= bits - 1;
-  }
-  return acc;
+  // One carry-save pass over all shifted copies at once, instead of
+  // popcount(k) - 1 full adds that each reallocate the accumulator.
+  return WeightedSumBsi({{&x, k}});
 }
 
 Bsi Bsi::ShiftLeft(const Bsi& x, int bits) {
@@ -267,72 +221,49 @@ Bsi Bsi::ShiftLeft(const Bsi& x, int bits) {
   return out;
 }
 
-namespace {
-
-// The comparison family dispatches on the same flag as the aggregate
-// kernels: word-level by default, legacy pairwise as the differential foil.
-bool UseWordCompare() {
-  return GetMultiOpKernel() == MultiOpKernel::kMultiOperand;
-}
-
-RoaringBitmap DispatchCompare(const Bsi& x, const Bsi& y,
-                              bsi_compare::CmpOp op) {
-  return UseWordCompare() ? bsi_compare::CompareWord(x, y, op)
-                          : bsi_compare::ComparePairwise(x, y, op);
-}
-
-RoaringBitmap DispatchRange(const Bsi& x, bsi_compare::RangeOp op,
-                            uint64_t k) {
-  return UseWordCompare() ? bsi_compare::RangeWord(x, op, k)
-                          : bsi_compare::RangePairwise(x, op, k);
-}
-
-}  // namespace
-
 RoaringBitmap Bsi::Lt(const Bsi& x, const Bsi& y) {
-  return DispatchCompare(x, y, bsi_compare::CmpOp::kLt);
+  return bsi_compare::Compare(x, y, bsi_compare::CmpOp::kLt);
 }
 
 RoaringBitmap Bsi::Eq(const Bsi& x, const Bsi& y) {
-  return DispatchCompare(x, y, bsi_compare::CmpOp::kEq);
+  return bsi_compare::Compare(x, y, bsi_compare::CmpOp::kEq);
 }
 
 RoaringBitmap Bsi::Ne(const Bsi& x, const Bsi& y) {
-  return DispatchCompare(x, y, bsi_compare::CmpOp::kNe);
+  return bsi_compare::Compare(x, y, bsi_compare::CmpOp::kNe);
 }
 
 RoaringBitmap Bsi::Le(const Bsi& x, const Bsi& y) {
-  return DispatchCompare(x, y, bsi_compare::CmpOp::kLe);
+  return bsi_compare::Compare(x, y, bsi_compare::CmpOp::kLe);
 }
 
 RoaringBitmap Bsi::RangeEq(uint64_t k) const {
-  return DispatchRange(*this, bsi_compare::RangeOp::kEq, k);
+  return bsi_compare::Range(*this, bsi_compare::RangeOp::kEq, k);
 }
 
 RoaringBitmap Bsi::RangeNe(uint64_t k) const {
-  return DispatchRange(*this, bsi_compare::RangeOp::kNe, k);
+  return bsi_compare::Range(*this, bsi_compare::RangeOp::kNe, k);
 }
 
 RoaringBitmap Bsi::RangeLt(uint64_t k) const {
-  return DispatchRange(*this, bsi_compare::RangeOp::kLt, k);
+  return bsi_compare::Range(*this, bsi_compare::RangeOp::kLt, k);
 }
 
 RoaringBitmap Bsi::RangeLe(uint64_t k) const {
-  return DispatchRange(*this, bsi_compare::RangeOp::kLe, k);
+  return bsi_compare::Range(*this, bsi_compare::RangeOp::kLe, k);
 }
 
 RoaringBitmap Bsi::RangeGt(uint64_t k) const {
-  return DispatchRange(*this, bsi_compare::RangeOp::kGt, k);
+  return bsi_compare::Range(*this, bsi_compare::RangeOp::kGt, k);
 }
 
 RoaringBitmap Bsi::RangeGe(uint64_t k) const {
-  return DispatchRange(*this, bsi_compare::RangeOp::kGe, k);
+  return bsi_compare::Range(*this, bsi_compare::RangeOp::kGe, k);
 }
 
 RoaringBitmap Bsi::RangeBetween(uint64_t lo, uint64_t hi) const {
   CHECK_LE(lo, hi);
-  return UseWordCompare() ? bsi_compare::RangeBetweenWord(*this, lo, hi)
-                          : bsi_compare::RangeBetweenPairwise(*this, lo, hi);
+  return bsi_compare::RangeBetween(*this, lo, hi);
 }
 
 uint64_t Bsi::Sum() const {
@@ -466,13 +397,9 @@ void Bsi::RunOptimize() {
 
 void Bsi::Serialize(std::string* out) const {
   PutU32(out, static_cast<uint32_t>(slices_.size()));
-  std::string block = existence_.SerializeToString();
-  PutU32(out, static_cast<uint32_t>(block.size()));
-  out->append(block);
+  PutString(out, existence_.SerializeToString());
   for (const RoaringBitmap& slice : slices_) {
-    block = slice.SerializeToString();
-    PutU32(out, static_cast<uint32_t>(block.size()));
-    out->append(block);
+    PutString(out, slice.SerializeToString());
   }
 }
 
@@ -483,19 +410,13 @@ std::string Bsi::SerializeToString() const {
 }
 
 Result<Bsi> Bsi::Deserialize(std::string_view bytes) {
-  size_t cursor = 0;
-  auto read_u32 = [&bytes, &cursor](uint32_t* v) {
-    if (bytes.size() - cursor < sizeof(uint32_t)) return false;
-    std::memcpy(v, bytes.data() + cursor, sizeof(uint32_t));
-    cursor += sizeof(uint32_t);
-    return true;
-  };
+  ByteReader in(bytes);
   uint32_t num_slices = 0;
-  if (!read_u32(&num_slices)) return Status::Corruption("bsi: truncated");
+  if (!in.ReadU32(&num_slices)) return Status::Corruption("bsi: truncated");
   if (num_slices > 64) return Status::Corruption("bsi: too many slices");
   // Each block carries a 4-byte length prefix; reject a slice count the
   // remaining bytes cannot hold before looping.
-  if ((bytes.size() - cursor) / sizeof(uint32_t) <
+  if (in.remaining() / sizeof(uint32_t) <
       static_cast<size_t>(num_slices) + 1) {
     return Status::Corruption("bsi: slice count exceeds payload");
   }
@@ -503,23 +424,20 @@ Result<Bsi> Bsi::Deserialize(std::string_view bytes) {
   out.slices_.reserve(num_slices);
   for (uint32_t i = 0; i <= num_slices; ++i) {
     uint32_t len = 0;
-    if (!read_u32(&len)) return Status::Corruption("bsi: truncated block");
-    if (bytes.size() - cursor < len) {
+    if (!in.ReadU32(&len)) return Status::Corruption("bsi: truncated block");
+    std::string_view block;
+    if (!in.ReadView(len, &block)) {
       return Status::Corruption("bsi: truncated block body");
     }
-    Result<RoaringBitmap> bm =
-        RoaringBitmap::Deserialize(bytes.substr(cursor, len));
+    Result<RoaringBitmap> bm = RoaringBitmap::Deserialize(block);
     if (!bm.ok()) return bm.status();
-    cursor += len;
     if (i == 0) {
       out.existence_ = std::move(bm).value();
     } else {
       out.slices_.push_back(std::move(bm).value());
     }
   }
-  if (cursor != bytes.size()) {
-    return Status::Corruption("bsi: trailing bytes");
-  }
+  if (!in.empty()) return Status::Corruption("bsi: trailing bytes");
   return out;
 }
 

@@ -1,21 +1,29 @@
-#ifndef EXPBSI_WIRE_BYTE_IO_H_
-#define EXPBSI_WIRE_BYTE_IO_H_
+#ifndef EXPBSI_COMMON_BYTE_IO_H_
+#define EXPBSI_COMMON_BYTE_IO_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
 
 namespace expbsi {
-namespace wire {
 
-// Little-endian byte IO for the wire protocol (DESIGN.md §9) and the
-// snapshot format (§6): segment files, chain manifests and the ingest meta
-// blob. Factored out because the envelope codec, the message payload
-// codecs, the snapshot reader and their fuzz harness all need one canonical
-// encoding: every value has exactly one byte representation on any host,
-// so "decode then re-encode" is bit-identity -- the round-trip contract
-// the decode fuzzer asserts.
+// The one little-endian byte codec. Every persisted or shipped format goes
+// through it: the Roaring container / bitmap and BSI blobs, the
+// experiment-data blobs and the position encoder (warehouse, snapshot
+// segment files and wire payloads), the snapshot chain manifest and ingest
+// meta blob (DESIGN.md §6), the WAL segment header and records, and the
+// wire protocol (§9). Every value has exactly one byte representation on
+// any host, so "decode then re-encode" is bit-identity -- the round-trip
+// contract the decode fuzzer asserts and the golden-bytes test pins.
+//
+// Bulk payloads of fixed-width integers -- container arrays and bitmap
+// words, position-encoder unit ids -- are copied with one memcpy / append
+// instead of value by value, which writes exactly these bytes only on a
+// little-endian host. This assert is where that decision is made.
+static_assert(std::endian::native == std::endian::little,
+              "bulk blob payloads are copied as little-endian memory");
 
 inline void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
@@ -82,8 +90,8 @@ inline double ReadF64(const char* p) {
 
 // Bounds-checked cursor over an untrusted payload. Every Read* returns
 // false once the remaining bytes run out; no length or count read from the
-// buffer is ever trusted before it is checked against `remaining()` -- the
-// same "cap before allocation" hardening as BsiStore::LoadFromFile.
+// buffer is ever trusted before it is checked against `remaining()`, so no
+// allocation is ever sized from a hostile header.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view bytes)
@@ -94,31 +102,31 @@ class ByteReader {
 
   bool ReadU8(uint8_t* v) {
     if (remaining() < 1) return false;
-    *v = wire::ReadU8(p_);
+    *v = expbsi::ReadU8(p_);
     p_ += 1;
     return true;
   }
   bool ReadU16(uint16_t* v) {
     if (remaining() < 2) return false;
-    *v = wire::ReadU16(p_);
+    *v = expbsi::ReadU16(p_);
     p_ += 2;
     return true;
   }
   bool ReadU32(uint32_t* v) {
     if (remaining() < 4) return false;
-    *v = wire::ReadU32(p_);
+    *v = expbsi::ReadU32(p_);
     p_ += 4;
     return true;
   }
   bool ReadU64(uint64_t* v) {
     if (remaining() < 8) return false;
-    *v = wire::ReadU64(p_);
+    *v = expbsi::ReadU64(p_);
     p_ += 8;
     return true;
   }
   bool ReadF64(double* v) {
     if (remaining() < 8) return false;
-    *v = wire::ReadF64(p_);
+    *v = expbsi::ReadF64(p_);
     p_ += 8;
     return true;
   }
@@ -160,7 +168,6 @@ inline void PutString(std::string* out, std::string_view s) {
   out->append(s.data(), s.size());
 }
 
-}  // namespace wire
 }  // namespace expbsi
 
-#endif  // EXPBSI_WIRE_BYTE_IO_H_
+#endif  // EXPBSI_COMMON_BYTE_IO_H_

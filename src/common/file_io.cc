@@ -28,7 +28,8 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 std::string ErrnoText() { return std::strerror(errno); }
 
-// Flushes user-space buffers and asks the kernel to make the file durable.
+}  // namespace
+
 Status FlushAndSync(std::FILE* f, const std::string& path) {
   if (std::fflush(f) != 0) {
     return Status::Unavailable("fileio: flush failed for " + path + ": " +
@@ -41,9 +42,6 @@ Status FlushAndSync(std::FILE* f, const std::string& path) {
   return Status::OK();
 }
 
-// Best-effort fsync of the directory holding `path`, making a just-committed
-// rename durable. Failure to open the directory is ignored (some filesystems
-// refuse O_RDONLY on directories); a failed fsync on an open fd is not.
 Status SyncParentDir(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos ? std::string(".")
@@ -58,8 +56,6 @@ Status SyncParentDir(const std::string& path) {
   }
   return Status::OK();
 }
-
-}  // namespace
 
 Result<uint64_t> FileSizeOf(const std::string& path) {
   struct ::stat st;

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/byte_io.h"
 #include "common/check.h"
 
 namespace expbsi {
@@ -33,38 +34,32 @@ void PositionEncoder::PreassignRanked(const std::vector<UnitId>& ids_by_rank) {
 }
 
 void PositionEncoder::Serialize(std::string* out) const {
-  const uint32_t count = size();
-  out->append(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (UnitId id : reverse_) {
-    out->append(reinterpret_cast<const char*>(&id), sizeof(id));
-  }
+  PutU32(out, size());
+  out->append(reinterpret_cast<const char*>(reverse_.data()),
+              reverse_.size() * sizeof(UnitId));
 }
 
 Result<PositionEncoder> PositionEncoder::Deserialize(std::string_view bytes) {
+  ByteReader in(bytes);
   uint32_t count = 0;
-  if (bytes.size() < sizeof(count)) {
+  if (!in.ReadU32(&count)) {
     return Status::Corruption("position_encoder: truncated");
   }
-  std::memcpy(&count, bytes.data(), sizeof(count));
-  if ((bytes.size() - sizeof(count)) / sizeof(UnitId) < count) {
+  std::string_view ids;
+  if (!in.ReadView(count * sizeof(UnitId), &ids)) {
     return Status::Corruption("position_encoder: count exceeds payload");
   }
-  if (bytes.size() != sizeof(count) + count * sizeof(UnitId)) {
+  if (!in.empty()) {
     return Status::Corruption("position_encoder: trailing bytes");
   }
   PositionEncoder out;
+  out.reverse_.resize(count);
+  if (count > 0) std::memcpy(out.reverse_.data(), ids.data(), ids.size());
   out.forward_.reserve(count);
-  out.reverse_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    UnitId id = 0;
-    std::memcpy(&id, bytes.data() + sizeof(count) + i * sizeof(UnitId),
-                sizeof(id));
-    auto [it, inserted] = out.forward_.try_emplace(id, i);
-    (void)it;
-    if (!inserted) {
+    if (!out.forward_.try_emplace(out.reverse_[i], i).second) {
       return Status::Corruption("position_encoder: duplicate unit id");
     }
-    out.reverse_.push_back(id);
   }
   return out;
 }

@@ -1,18 +1,20 @@
 // expbsi_node: one serving node as a real process (DESIGN.md §9, §11).
 //
-//   expbsi_node --store=<warehouse file> --node-id=N [--port=P]
+//   expbsi_node --snapshot-dir=<dir> --node-id=N [--port=P]
 //               [--max-inflight=K]
 //               [--num-nodes=N --num-segments=S [--replicas=R]]
 //               [--repair-peers=port1,port2,...]
 //               [--postmortem-dir=<dir>]
 //               [--inject=<site>,<kind>,<p>[,<delay_s>]]... [--inject-seed=S]
 //
-// Loads the warehouse blobs (BsiStore::SaveToFile format), starts a
-// NodeServer and prints "PORT <port>" on stdout so a parent process
-// spawning it on an ephemeral port can learn where it listens.
+// Recovers the warehouse from a snapshot directory (SnapshotWriter, DESIGN.md
+// §6), starts a NodeServer and prints "PORT <port>" on stdout so a parent
+// process spawning it on an ephemeral port can learn where it listens. A
+// recovery that loses any segment exits 1: a node must not serve from a
+// warehouse it only partly read.
 //
 // With --num-nodes/--num-segments the node derives its replica set from the
-// shared rendezvous Placement, prunes the loaded store to those segments
+// shared rendezvous Placement, prunes the recovered store to those segments
 // and rejects queries for any other segment. With --repair-peers it heals
 // missing or quarantined owned segments from the listed peer replicas
 // (fingerprint-verified) before it starts serving.
@@ -48,6 +50,7 @@
 #include "net/node_server.h"
 #include "net/repair.h"
 #include "storage/bsi_store.h"
+#include "storage/snapshot.h"
 
 namespace {
 
@@ -124,7 +127,7 @@ std::vector<uint16_t> ParsePorts(const std::string& csv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string store_path;
+  std::string snapshot_dir;
   std::string value;
   expbsi::net::NodeServerOptions options;
   int num_nodes = 0;
@@ -134,8 +137,8 @@ int main(int argc, char** argv) {
   std::vector<InjectSpec> inject_specs;
   uint64_t inject_seed = 42;
   for (int i = 1; i < argc; ++i) {
-    if (ParseFlag(argv[i], "--store", &value)) {
-      store_path = value;
+    if (ParseFlag(argv[i], "--snapshot-dir", &value)) {
+      snapshot_dir = value;
     } else if (ParseFlag(argv[i], "--node-id", &value)) {
       options.node_id = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--port", &value)) {
@@ -168,10 +171,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (store_path.empty()) {
+  if (snapshot_dir.empty()) {
     std::fprintf(stderr,
-                 "usage: expbsi_node --store=<file> --node-id=N [--port=P] "
-                 "[--max-inflight=K] [--num-nodes=N --num-segments=S "
+                 "usage: expbsi_node --snapshot-dir=<dir> --node-id=N "
+                 "[--port=P] [--max-inflight=K] "
+                 "[--num-nodes=N --num-segments=S "
                  "[--replicas=R]] [--repair-peers=p1,p2,...] "
                  "[--postmortem-dir=dir] "
                  "[--inject=site,kind,p[,delay_s]]... [--inject-seed=S]\n");
@@ -191,11 +195,17 @@ int main(int argc, char** argv) {
     expbsi::FaultInjector::Install(fi);
   }
 
+  expbsi::RecoveryReport report;
   expbsi::Result<expbsi::BsiStore> store =
-      expbsi::BsiStore::LoadFromFile(store_path);
+      expbsi::SnapshotReader::Recover(snapshot_dir, &report);
   if (!store.ok()) {
-    std::fprintf(stderr, "expbsi_node: load %s: %s\n", store_path.c_str(),
-                 store.status().ToString().c_str());
+    std::fprintf(stderr, "expbsi_node: recover %s: %s\n",
+                 snapshot_dir.c_str(), store.status().ToString().c_str());
+    return 1;
+  }
+  if (!report.fully_recovered()) {
+    std::fprintf(stderr, "expbsi_node: recover %s: %zu segment(s) lost\n",
+                 snapshot_dir.c_str(), report.lost_segments.size());
     return 1;
   }
   expbsi::BsiStore cold = std::move(store).value();
@@ -204,7 +214,7 @@ int main(int argc, char** argv) {
     const expbsi::Placement placement(num_nodes, num_segments, replicas);
     const std::vector<uint32_t> owned =
         placement.SegmentsOf(options.node_id);
-    // Prune the (typically full) warehouse file down to this node's replica
+    // Prune the (typically full) warehouse down to this node's replica
     // set: replicated serving must prove it never silently answers for a
     // segment it does not own.
     expbsi::BsiStore pruned;

@@ -4,20 +4,10 @@
 #include <cstddef>
 #include <cstring>
 
+#include "common/byte_io.h"
+
 namespace expbsi {
 namespace {
-
-// Appends a little-endian u32 to out.
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool GetU32(const uint8_t** cursor, const uint8_t* end, uint32_t* v) {
-  if (end - *cursor < static_cast<ptrdiff_t>(sizeof(uint32_t))) return false;
-  std::memcpy(v, *cursor, sizeof(uint32_t));
-  *cursor += sizeof(uint32_t);
-  return true;
-}
 
 // First index in [lo, v.size()) with v[idx] >= key, found by exponential
 // search from lo: probes lo+1, lo+2, lo+4, ... then binary-searches the
@@ -1089,7 +1079,7 @@ size_t Container::SizeInBytes() const {
 }
 
 void Container::Serialize(std::string* out) const {
-  out->push_back(static_cast<char>(type_));
+  PutU8(out, static_cast<uint8_t>(type_));
   switch (type_) {
     case ContainerType::kArray:
       PutU32(out, static_cast<uint32_t>(array_.size()));
@@ -1111,25 +1101,33 @@ void Container::Serialize(std::string* out) const {
 
 Result<Container> Container::Deserialize(const uint8_t** cursor,
                                          const uint8_t* end) {
-  if (*cursor >= end) return Status::Corruption("container: truncated type");
-  const uint8_t type_byte = **cursor;
-  ++*cursor;
+  ByteReader in(std::string_view(reinterpret_cast<const char*>(*cursor),
+                                 static_cast<size_t>(end - *cursor)));
+  Result<Container> c = Deserialize(&in);
+  *cursor = end - in.remaining();
+  return c;
+}
+
+Result<Container> Container::Deserialize(ByteReader* in) {
+  uint8_t type_byte = 0;
+  if (!in->ReadU8(&type_byte)) {
+    return Status::Corruption("container: truncated type");
+  }
   if (type_byte > 2) return Status::Corruption("container: bad type byte");
   uint32_t n = 0;
-  if (!GetU32(cursor, end, &n)) {
+  if (!in->ReadU32(&n)) {
     return Status::Corruption("container: truncated count");
   }
   Container c;
+  std::string_view payload;
   switch (static_cast<ContainerType>(type_byte)) {
     case ContainerType::kArray: {
       if (n > 65536) return Status::Corruption("container: array too large");
-      const size_t bytes = n * sizeof(uint16_t);
-      if (static_cast<size_t>(end - *cursor) < bytes) {
+      if (!in->ReadView(n * sizeof(uint16_t), &payload)) {
         return Status::Corruption("container: truncated array");
       }
       c.array_.resize(n);
-      if (bytes > 0) std::memcpy(c.array_.data(), *cursor, bytes);
-      *cursor += bytes;
+      if (n > 0) std::memcpy(c.array_.data(), payload.data(), payload.size());
       // The sorted-unique invariant is what every binary search and
       // galloping intersect relies on; accepting an unsorted array would be
       // a silently wrong decode, not a crash.
@@ -1142,15 +1140,13 @@ Result<Container> Container::Deserialize(const uint8_t** cursor,
       break;
     }
     case ContainerType::kBitmap: {
-      const size_t bytes = kWordsPerBitmap * sizeof(uint64_t);
-      if (static_cast<size_t>(end - *cursor) < bytes) {
+      if (!in->ReadView(kWordsPerBitmap * sizeof(uint64_t), &payload)) {
         return Status::Corruption("container: truncated bitmap");
       }
       if (n > 65536) return Status::Corruption("container: bad cardinality");
       c.type_ = ContainerType::kBitmap;
       c.words_.resize(kWordsPerBitmap);
-      std::memcpy(c.words_.data(), *cursor, bytes);
-      *cursor += bytes;
+      std::memcpy(c.words_.data(), payload.data(), payload.size());
       c.cardinality_ = static_cast<int32_t>(n);
       // Unconditional: a wrong stored cardinality silently skews every
       // count downstream, and the popcount pass is one linear sweep of the
@@ -1163,14 +1159,12 @@ Result<Container> Container::Deserialize(const uint8_t** cursor,
     }
     case ContainerType::kRun: {
       if (n > 32768) return Status::Corruption("container: too many runs");
-      const size_t bytes = n * 2 * sizeof(uint16_t);
-      if (static_cast<size_t>(end - *cursor) < bytes) {
+      if (!in->ReadView(n * 2 * sizeof(uint16_t), &payload)) {
         return Status::Corruption("container: truncated runs");
       }
       c.type_ = ContainerType::kRun;
       c.array_.resize(n * 2);
-      if (bytes > 0) std::memcpy(c.array_.data(), *cursor, bytes);
-      *cursor += bytes;
+      if (n > 0) std::memcpy(c.array_.data(), payload.data(), payload.size());
       int64_t card = 0;
       int64_t prev_end = -1;  // runs must be ordered and non-overlapping
       for (size_t r = 0; r + 1 < c.array_.size(); r += 2) {

@@ -11,6 +11,8 @@
 
 namespace expbsi {
 
+class ByteReader;  // common/byte_io.h
+
 // Physical layout of one Roaring container (the low-16-bit set of all values
 // that share a 16-bit key). Mirrors Chambi et al. (2016):
 //
@@ -135,7 +137,10 @@ class Container {
   // Appends [type:u8][count:u32][payload] to `out`.
   void Serialize(std::string* out) const;
 
-  // Parses a container produced by Serialize, advancing *cursor.
+  // Parses a container produced by Serialize from the front of `in`
+  // (RoaringBitmap::Deserialize reads its containers this way).
+  static Result<Container> Deserialize(ByteReader* in);
+  // The same over [*cursor, end), advancing *cursor past the container.
   static Result<Container> Deserialize(const uint8_t** cursor,
                                        const uint8_t* end);
 

@@ -1,37 +1,12 @@
 #include "storage/bsi_store.h"
 
-#include <cstdio>
 #include <cstring>
-#include <memory>
 
 #include "common/fault_injector.h"
-#include "common/file_io.h"
 #include "common/hash.h"
 #include "obs/metrics.h"
 
 namespace expbsi {
-namespace {
-
-// File format: [magic u32][blob count u64] then per blob
-// [segment u16][kind u8][id u64][date u32][len u32][bytes].
-constexpr uint32_t kStoreMagic = 0x45425331;  // "EBS1"
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-bool WriteBytes(std::FILE* f, const void* data, size_t n) {
-  return std::fwrite(data, 1, n, f) == n;
-}
-
-bool ReadBytes(std::FILE* f, void* data, size_t n) {
-  return std::fread(data, 1, n, f) == n;
-}
-
-}  // namespace
 
 uint64_t BlobFingerprint(std::string_view bytes) {
   // Chained Mix64 over 8-byte words plus a zero-padded tail; seeding with
@@ -120,90 +95,6 @@ Result<uint64_t> BsiStore::Fingerprint(const BsiStoreKey& key) const {
     return Status::NotFound("bsi store: no blob for key");
   }
   return it->second.fingerprint;
-}
-
-Status BsiStore::SaveToFile(const std::string& path) const {
-  FilePtr file(std::fopen(path.c_str(), "wb"));
-  if (file == nullptr) {
-    return Status::InvalidArgument("bsi store: cannot open " + path +
-                                   " for writing");
-  }
-  const uint64_t count = blobs_.size();
-  if (!WriteBytes(file.get(), &kStoreMagic, sizeof(kStoreMagic)) ||
-      !WriteBytes(file.get(), &count, sizeof(count))) {
-    return Status::Corruption("bsi store: short write of header");
-  }
-  for (const auto& [key, entry] : blobs_) {
-    const std::string& bytes = entry.bytes;
-    const uint8_t kind = static_cast<uint8_t>(key.kind);
-    const uint32_t len = static_cast<uint32_t>(bytes.size());
-    if (!WriteBytes(file.get(), &key.segment, sizeof(key.segment)) ||
-        !WriteBytes(file.get(), &kind, sizeof(kind)) ||
-        !WriteBytes(file.get(), &key.id, sizeof(key.id)) ||
-        !WriteBytes(file.get(), &key.date, sizeof(key.date)) ||
-        !WriteBytes(file.get(), &len, sizeof(len)) ||
-        !WriteBytes(file.get(), bytes.data(), bytes.size())) {
-      return Status::Corruption("bsi store: short write of blob");
-    }
-  }
-  if (std::fflush(file.get()) != 0) {
-    return Status::Corruption("bsi store: flush failed");
-  }
-  return Status::OK();
-}
-
-Result<BsiStore> BsiStore::LoadFromFile(const std::string& path) {
-  Result<uint64_t> file_size = fileio::FileSizeOf(path);
-  if (!file_size.ok()) {
-    return Status::NotFound("bsi store: cannot open " + path);
-  }
-  FilePtr file(std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) {
-    return Status::NotFound("bsi store: cannot open " + path);
-  }
-  uint32_t magic = 0;
-  uint64_t count = 0;
-  if (!ReadBytes(file.get(), &magic, sizeof(magic)) ||
-      !ReadBytes(file.get(), &count, sizeof(count))) {
-    return Status::Corruption("bsi store: truncated header");
-  }
-  if (magic != kStoreMagic) {
-    return Status::Corruption("bsi store: bad magic");
-  }
-  // Every allocation below is bounded by what the file can actually hold:
-  // a hostile count / len header fails here instead of driving a huge
-  // resize.
-  constexpr uint64_t kRecordHeaderBytes = 2 + 1 + 8 + 4 + 4;
-  uint64_t remaining = file_size.value() - sizeof(magic) - sizeof(count);
-  if (count > remaining / kRecordHeaderBytes) {
-    return Status::Corruption("bsi store: blob count exceeds file size");
-  }
-  BsiStore store;
-  for (uint64_t i = 0; i < count; ++i) {
-    BsiStoreKey key;
-    uint8_t kind = 0;
-    uint32_t len = 0;
-    if (!ReadBytes(file.get(), &key.segment, sizeof(key.segment)) ||
-        !ReadBytes(file.get(), &kind, sizeof(kind)) ||
-        !ReadBytes(file.get(), &key.id, sizeof(key.id)) ||
-        !ReadBytes(file.get(), &key.date, sizeof(key.date)) ||
-        !ReadBytes(file.get(), &len, sizeof(len))) {
-      return Status::Corruption("bsi store: truncated record header");
-    }
-    remaining -= kRecordHeaderBytes;
-    if (kind > 3) return Status::Corruption("bsi store: bad kind byte");
-    key.kind = static_cast<BsiKind>(kind);
-    if (len > remaining) {
-      return Status::Corruption("bsi store: blob length exceeds file size");
-    }
-    std::string bytes(len, '\0');
-    if (!ReadBytes(file.get(), bytes.data(), len)) {
-      return Status::Corruption("bsi store: truncated blob body");
-    }
-    remaining -= len;
-    store.Put(key, std::move(bytes));
-  }
-  return store;
 }
 
 }  // namespace expbsi

@@ -90,11 +90,6 @@ class BsiStore {
   // Total stored bytes (the BSI "original size" of Table 4).
   size_t TotalBytes() const { return total_bytes_; }
 
-  // Persistence: the warehouse contents as one file of length-prefixed
-  // records. IO and format problems surface as Status.
-  Status SaveToFile(const std::string& path) const;
-  static Result<BsiStore> LoadFromFile(const std::string& path);
-
   // Rebuilds a store from the newest valid snapshot manifest in `dir`
   // (written by SnapshotWriter, storage/snapshot.h). Torn, truncated or
   // bitflipped segment files are quarantined and reported in `report`

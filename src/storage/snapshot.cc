@@ -9,13 +9,13 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/byte_io.h"
 #include "common/crc32c.h"
 #include "common/fault_injector.h"
 #include "common/file_io.h"
 #include "common/hash.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "wire/byte_io.h"
 
 namespace expbsi {
 namespace {
@@ -144,7 +144,7 @@ Status DecodeSegmentFile(std::string_view bytes, uint16_t segment,
         " does not match manifest (" + std::to_string(file.file_size) +
         ") -- truncated or torn write");
   }
-  wire::ByteReader r(bytes);
+  ByteReader r(bytes);
   uint32_t magic = 0, format = 0;
   uint16_t file_segment = 0;
   uint64_t file_version = 0, blob_count = 0;
@@ -190,7 +190,7 @@ Status DecodeSegmentFile(std::string_view bytes, uint16_t segment,
     DecodedRecord rec;
     uint8_t kind = 0;
     uint32_t len = 0;
-    wire::ByteReader h(header);
+    ByteReader h(header);
     h.ReadU16(&rec.key.segment);
     h.ReadU8(&kind);
     h.ReadU64(&rec.key.id);
@@ -253,23 +253,23 @@ std::string BuildSegmentFile(uint16_t segment, uint64_t version,
                              const SegmentRecords& records) {
   std::string out;
   out.reserve(SegmentFileBytes(records));
-  wire::PutU32(&out, kSegmentFileMagic);
-  wire::PutU32(&out, kSnapshotFormatVersion);
-  wire::PutU16(&out, segment);
-  wire::PutU64(&out, version);
-  wire::PutU64(&out, records.size());
+  PutU32(&out, kSegmentFileMagic);
+  PutU32(&out, kSnapshotFormatVersion);
+  PutU16(&out, segment);
+  PutU64(&out, version);
+  PutU64(&out, records.size());
   for (const auto& [order, rec] : records) {
     const size_t header_start = out.size();
-    wire::PutU16(&out, rec.key.segment);
-    wire::PutU8(&out, static_cast<uint8_t>(rec.key.kind));
-    wire::PutU64(&out, rec.key.id);
-    wire::PutU32(&out, rec.key.date);
-    wire::PutU32(&out, static_cast<uint32_t>(rec.bytes->size()));
-    wire::PutU64(&out, rec.fingerprint);
-    wire::PutU32(&out, Crc32c(out.data() + header_start,
+    PutU16(&out, rec.key.segment);
+    PutU8(&out, static_cast<uint8_t>(rec.key.kind));
+    PutU64(&out, rec.key.id);
+    PutU32(&out, rec.key.date);
+    PutU32(&out, static_cast<uint32_t>(rec.bytes->size()));
+    PutU64(&out, rec.fingerprint);
+    PutU32(&out, Crc32c(out.data() + header_start,
                               kSnapshotRecordHeaderBytes));
     out += *rec.bytes;
-    wire::PutU32(&out, Crc32c(*rec.bytes));
+    PutU32(&out, Crc32c(*rec.bytes));
   }
   return out;
 }
@@ -381,21 +381,21 @@ std::string SnapshotSegmentFileName(uint16_t segment, uint64_t version) {
 
 std::string EncodeSnapshotManifest(const SnapshotManifest& manifest) {
   std::string out;
-  wire::PutU32(&out, kManifestFileMagic);
-  wire::PutU32(&out, kSnapshotFormatVersion);
-  wire::PutU64(&out, manifest.version);
-  wire::PutU32(&out, static_cast<uint32_t>(manifest.chains.size()));
+  PutU32(&out, kManifestFileMagic);
+  PutU32(&out, kSnapshotFormatVersion);
+  PutU64(&out, manifest.version);
+  PutU32(&out, static_cast<uint32_t>(manifest.chains.size()));
   for (const SnapshotChain& chain : manifest.chains) {
-    wire::PutU16(&out, chain.segment);
-    wire::PutU32(&out, static_cast<uint32_t>(chain.files.size()));
+    PutU16(&out, chain.segment);
+    PutU32(&out, static_cast<uint32_t>(chain.files.size()));
     for (const SnapshotChainFile& file : chain.files) {
-      wire::PutString(&out, file.name);
-      wire::PutU64(&out, file.version);
-      wire::PutU64(&out, file.file_size);
-      wire::PutU64(&out, file.blob_count);
+      PutString(&out, file.name);
+      PutU64(&out, file.version);
+      PutU64(&out, file.file_size);
+      PutU64(&out, file.blob_count);
     }
   }
-  wire::PutU32(&out, Crc32c(out));
+  PutU32(&out, Crc32c(out));
   return out;
 }
 
@@ -407,12 +407,12 @@ Result<SnapshotManifest> DecodeSnapshotManifest(std::string_view bytes,
                               std::to_string(bytes.size()) + " bytes)");
   }
   const std::string_view body = bytes.substr(0, bytes.size() - 4);
-  if (Crc32c(body) != wire::ReadU32(bytes.data() + body.size())) {
+  if (Crc32c(body) != ReadU32(bytes.data() + body.size())) {
     return Status::Corruption(name +
                               ": manifest checksum mismatch (torn write or "
                               "bitflip)");
   }
-  wire::ByteReader r(body);
+  ByteReader r(body);
   uint32_t magic = 0, format = 0, num_chains = 0;
   SnapshotManifest m;
   r.ReadU32(&magic);

@@ -36,7 +36,7 @@ namespace expbsi {
 // first one that validates; segment files are checked block by block
 // (CRC32C + the Put-time BlobFingerprint), and one bad file loses its whole
 // segment, which is quarantined and *reported*, never silently dropped or
-// half-loaded. All integers are little-endian (wire/byte_io.h).
+// half-loaded. All integers are little-endian (common/byte_io.h).
 
 // Everything Recover() observed, in the style of QueryStats::DegradedInfo:
 // losses are explicit, enumerated and classified.

@@ -1,10 +1,10 @@
 #include "wal/ingest_store.h"
 
 #include "cluster/adhoc_cluster.h"
+#include "common/byte_io.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "wire/byte_io.h"
 
 namespace expbsi {
 namespace {
@@ -19,11 +19,11 @@ std::string EncodeMetaBlob(uint64_t checkpoint_sequence,
                            const IngestOptions& options) {
   std::string out;
   out.reserve(kMetaBlobBytes);
-  wire::PutU32(&out, kIngestMetaFormatVersion);
-  wire::PutU64(&out, checkpoint_sequence);
-  wire::PutU32(&out, static_cast<uint32_t>(options.num_segments));
-  wire::PutU32(&out, static_cast<uint32_t>(options.num_buckets));
-  wire::PutU8(&out, options.bucket_equals_segment ? 1 : 0);
+  PutU32(&out, kIngestMetaFormatVersion);
+  PutU64(&out, checkpoint_sequence);
+  PutU32(&out, static_cast<uint32_t>(options.num_segments));
+  PutU32(&out, static_cast<uint32_t>(options.num_buckets));
+  PutU8(&out, options.bucket_equals_segment ? 1 : 0);
   return out;
 }
 
@@ -36,7 +36,7 @@ Status DecodeMetaBlob(const std::string& bytes, uint64_t* checkpoint_sequence,
   uint32_t num_segments = 0;
   uint32_t num_buckets = 0;
   uint8_t bucket_eq = 0;
-  wire::ByteReader r(bytes);
+  ByteReader r(bytes);
   r.ReadU32(&format);
   r.ReadU64(checkpoint_sequence);
   r.ReadU32(&num_segments);

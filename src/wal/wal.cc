@@ -1,6 +1,5 @@
 #include "wal/wal.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,6 +8,7 @@
 #include <cstring>
 #include <thread>
 
+#include "common/byte_io.h"
 #include "common/check.h"
 #include "common/crc32c.h"
 #include "common/fault_injector.h"
@@ -24,67 +24,7 @@ namespace {
 constexpr char kWalFilePrefix[] = "wal-";
 constexpr char kWalFileSuffix[] = ".log";
 
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t ReadU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t ReadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
 std::string ErrnoText() { return std::strerror(errno); }
-
-// Flush + fsync (the fileio helpers are file-local to file_io.cc).
-Status FlushAndSync(std::FILE* f, const std::string& path) {
-  if (std::fflush(f) != 0) {
-    return Status::Unavailable("wal: flush failed for " + path + ": " +
-                               ErrnoText());
-  }
-  if (::fsync(::fileno(f)) != 0) {
-    return Status::Unavailable("wal: fsync failed for " + path + ": " +
-                               ErrnoText());
-  }
-  return Status::OK();
-}
-
-Status SyncParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? std::string(".")
-                                                     : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd < 0) return Status::OK();
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return Status::Unavailable("wal: directory fsync failed for " + dir +
-                               ": " + ErrnoText());
-  }
-  return Status::OK();
-}
 
 void EncodeEvent(std::string* out, const WalEvent& event) {
   PutU8(out, static_cast<uint8_t>(event.kind));
@@ -365,7 +305,9 @@ WalWriter::WalWriter(std::string dir, WalOptions options)
 
 WalWriter::~WalWriter() {
   if (file_ != nullptr) {
-    if (!dead_ && unsynced_) FlushAndSync(file_, active_path_);  // best effort
+    if (!dead_ && unsynced_) {
+      fileio::FlushAndSync(file_, active_path_);  // best effort
+    }
     std::fclose(file_);
   }
 }
@@ -448,7 +390,7 @@ Status WalWriter::StartSegment(uint64_t first_sequence) {
     std::fclose(f);
     return Status::Unavailable("wal: short write of segment header " + path);
   }
-  const Status synced = FlushAndSync(f, path);
+  const Status synced = fileio::FlushAndSync(f, path);
   if (!synced.ok()) {
     std::fclose(f);
     return synced;
@@ -459,7 +401,7 @@ Status WalWriter::StartSegment(uint64_t first_sequence) {
     return Status::Unavailable("wal: injected kill mid-roll of " + path +
                                " (torn segment header left behind)");
   }
-  RETURN_IF_ERROR(SyncParentDir(path));
+  RETURN_IF_ERROR(fileio::SyncParentDir(path));
   file_ = f;
   active_path_ = path;
   active_first_sequence_ = first_sequence;
@@ -474,7 +416,7 @@ Status WalWriter::StartSegment(uint64_t first_sequence) {
 
 Status WalWriter::CloseSegment() {
   if (file_ == nullptr) return Status::OK();
-  Status status = unsynced_ ? FlushAndSync(file_, active_path_)
+  Status status = unsynced_ ? fileio::FlushAndSync(file_, active_path_)
                             : Status::OK();
   std::fclose(file_);
   file_ = nullptr;
@@ -548,7 +490,7 @@ Result<uint64_t> WalWriter::Append(const std::vector<WalEvent>& events) {
     // Simulated process kill mid-append: the torn prefix reaches the file
     // (fsynced so replay sees what a real crash could have left), and the
     // writer is dead from here on.
-    FlushAndSync(file_, active_path_);
+    fileio::FlushAndSync(file_, active_path_);
     dead_ = true;
     append_failures.Add();
     return Status::Unavailable("wal: injected kill mid-append of record " +
@@ -668,7 +610,7 @@ Result<uint64_t> WalWriter::AppendGrouped(const std::vector<WalEvent>& events) {
                                std::to_string(sequence));
   }
   if (crash) {
-    FlushAndSync(file_, active_path_);
+    fileio::FlushAndSync(file_, active_path_);
     dead_ = true;
     cv_.notify_all();
     append_failures.Add();

@@ -1,7 +1,7 @@
 #include "wire/envelope.h"
 
+#include "common/byte_io.h"
 #include "common/crc32c.h"
-#include "wire/byte_io.h"
 
 namespace expbsi {
 namespace wire {

@@ -2,8 +2,8 @@
 
 #include <tuple>
 
+#include "common/byte_io.h"
 #include "obs/flight_recorder.h"
-#include "wire/byte_io.h"
 #include "wire/envelope.h"
 
 namespace expbsi {

@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "bsi/bsi.h"
-#include "bsi/bsi_aggregate.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
+#include "reference/ref_column.h"
 #include "tests/test_util.h"
 
 namespace expbsi {
@@ -226,11 +226,9 @@ TEST(BsiCompareBasic, MixedDenseSparseContainers) {
             expected([](uint64_t a, uint64_t b) { return b < a; }));
 }
 
-// The word kernels and the legacy pairwise path are interchangeable: force
-// each via the MultiOpKernel flag and require identical bitmaps on a
-// workload with planted equalities and cross-slice differences.
-TEST(BsiCompareBasic, WordAndPairwiseKernelsAgree) {
-  const MultiOpKernel saved = GetMultiOpKernel();
+// The word kernels against the scalar oracle on a workload with planted
+// equalities and cross-slice differences.
+TEST(BsiCompareBasic, WordKernelsMatchOracleOnPlantedEqualities) {
   Rng rng(123);
   ValueMap mx = RandomValueMap(rng, 6000, 50000, 64);
   ValueMap my = RandomValueMap(rng, 6000, 50000, 64);
@@ -239,22 +237,17 @@ TEST(BsiCompareBasic, WordAndPairwiseKernelsAgree) {
   for (const auto& [pos, v] : mx) {
     if (my.count(pos) && ++planted % 3 == 0) my[pos] = v;
   }
-  Bsi x = Bsi::FromPairs(ToPairVector(mx));
-  Bsi y = Bsi::FromPairs(ToPairVector(my));
+  const Bsi x = Bsi::FromPairs(ToPairVector(mx));
+  const Bsi y = Bsi::FromPairs(ToPairVector(my));
+  const RefColumn rx = RefColumn::FromPairs(ToPairVector(mx));
+  const RefColumn ry = RefColumn::FromPairs(ToPairVector(my));
 
-  SetMultiOpKernel(MultiOpKernel::kMultiOperand);
-  const RoaringBitmap lt_w = Bsi::Lt(x, y);
-  const RoaringBitmap eq_w = Bsi::Eq(x, y);
-  const RoaringBitmap ne_w = Bsi::Ne(x, y);
-  const RoaringBitmap le_w = Bsi::Le(x, y);
-  const RoaringBitmap rb_w = x.RangeBetween(10, 40);
-  SetMultiOpKernel(MultiOpKernel::kPairwise);
-  EXPECT_TRUE(Bsi::Lt(x, y).Equals(lt_w));
-  EXPECT_TRUE(Bsi::Eq(x, y).Equals(eq_w));
-  EXPECT_TRUE(Bsi::Ne(x, y).Equals(ne_w));
-  EXPECT_TRUE(Bsi::Le(x, y).Equals(le_w));
-  EXPECT_TRUE(x.RangeBetween(10, 40).Equals(rb_w));
-  SetMultiOpKernel(saved);
+  EXPECT_EQ(Bsi::Lt(x, y).ToVector(), RefColumn::Lt(rx, ry));
+  EXPECT_EQ(Bsi::Eq(x, y).ToVector(), RefColumn::Eq(rx, ry));
+  EXPECT_EQ(Bsi::Ne(x, y).ToVector(), RefColumn::Ne(rx, ry));
+  EXPECT_EQ(Bsi::Le(x, y).ToVector(), RefColumn::Le(rx, ry));
+  EXPECT_EQ(x.RangeBetween(10, 40).ToVector(), rx.RangeBetween(10, 40));
+  EXPECT_FALSE(RefColumn::Eq(rx, ry).empty());
 }
 
 TEST(BsiRangeEdge, PaperFilterExample) {

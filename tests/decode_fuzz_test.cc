@@ -41,6 +41,7 @@
 #include <gtest/gtest.h>
 
 #include "bsi/bsi.h"
+#include "common/byte_io.h"
 #include "common/crc32c.h"
 #include "common/file_io.h"
 #include "common/rng.h"
@@ -51,7 +52,6 @@
 #include "storage/bsi_store.h"
 #include "storage/snapshot.h"
 #include "wal/wal.h"
-#include "wire/byte_io.h"
 #include "wire/envelope.h"
 #include "wire/messages.h"
 
@@ -977,7 +977,7 @@ void RunManifestIteration(uint64_t seed) {
 
   std::string body = Mutate(rng, clean.substr(0, clean.size() - 4),
                             RandomMutation(rng));
-  wire::PutU32(&body, Crc32c(body));
+  PutU32(&body, Crc32c(body));
   const Result<SnapshotManifest> got =
       DecodeSnapshotManifest(body, manifest.version);
   if (!got.ok()) {
@@ -1333,13 +1333,13 @@ TEST(DecodeFuzzTest, HostileCountsFailBeforeAllocation) {
     // Wire response with valid empty segments and stats, then a span count
     // of 2^32-1: rejected against the remaining bytes before resize.
     std::string payload;
-    wire::PutU32(&payload, 0);  // segments
-    wire::PutU32(&payload, 0);  // retries
-    wire::PutU32(&payload, 0);  // faults_survived
-    wire::PutU64(&payload, 0);  // bytes_from_cold
-    wire::PutU64(&payload, 0);  // hot_hits
-    wire::PutF64(&payload, 0);  // cpu_seconds
-    wire::PutU32(&payload, 0xffffffffu);  // hostile span count
+    PutU32(&payload, 0);  // segments
+    PutU32(&payload, 0);  // retries
+    PutU32(&payload, 0);  // faults_survived
+    PutU64(&payload, 0);  // bytes_from_cold
+    PutU64(&payload, 0);  // hot_hits
+    PutF64(&payload, 0);  // cpu_seconds
+    PutU32(&payload, 0xffffffffu);  // hostile span count
     ASSERT_FALSE(wire::DecodeQueryResponse(payload).ok());
   }
   {
@@ -1352,7 +1352,7 @@ TEST(DecodeFuzzTest, HostileCountsFailBeforeAllocation) {
 // ---------------------------------------------------------------------------
 // Regression corpus: hand-crafted malformed blobs, every one of which must
 // be rejected cleanly. Lines: "<decoder> <hex>  # comment", decoder one of
-// container / roaring / bsi / storefile / envelope / queryrequest /
+// container / roaring / bsi / envelope / queryrequest /
 // queryresponse / wireerror / segmentfetch / segmentpush / statsfetch /
 // statsreply / manifest.
 // ---------------------------------------------------------------------------
@@ -1381,12 +1381,6 @@ TEST(DecodeFuzzTest, MalformedCorpusIsRejected) {
       EXPECT_FALSE(RoaringBitmap::Deserialize(bytes).ok()) << ctx;
     } else if (decoder == "bsi") {
       EXPECT_FALSE(Bsi::Deserialize(bytes).ok()) << ctx;
-    } else if (decoder == "storefile") {
-      const std::string path = FuzzDir("corpus") + "/corpus_store";
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      out.close();
-      EXPECT_FALSE(BsiStore::LoadFromFile(path).ok()) << ctx;
     } else if (decoder == "envelope") {
       EXPECT_FALSE(wire::DecodeEnvelope(bytes).ok()) << ctx;
     } else if (decoder == "queryrequest") {
@@ -1408,7 +1402,7 @@ TEST(DecodeFuzzTest, MalformedCorpusIsRejected) {
       // is appended here so the entry reaches the check it names. Rejected
       // means the decode fails or some chain is marked lost.
       std::string sealed = bytes;
-      wire::PutU32(&sealed, Crc32c(sealed));
+      PutU32(&sealed, Crc32c(sealed));
       const Result<SnapshotManifest> m = DecodeSnapshotManifest(sealed, 1);
       bool rejected = !m.ok();
       if (m.ok()) {

@@ -7,10 +7,11 @@
 // every bit across a genuine process boundary -- no shared memory, no
 // shared allocator, nothing but the protocol.
 //
-// Node lifecycle: each child gets the warehouse as a BsiStore file
-// (SaveToFile/LoadFromFile), prints "PORT <p>" on stdout once listening,
-// and serves until its stdin (a pipe held by this process) reaches EOF --
-// so children can never outlive the test, even if it dies mid-run.
+// Node lifecycle: each child recovers the warehouse from a snapshot
+// directory (SnapshotWriter::Write), prints "PORT <p>" on stdout once
+// listening, and serves until its stdin (a pipe held by this process)
+// reaches EOF -- so children can never outlive the test, even if it dies
+// mid-run.
 
 #include <fcntl.h>
 #include <signal.h>
@@ -34,6 +35,7 @@
 #include "net/socket.h"
 #include "net/transport.h"
 #include "obs/fleet.h"
+#include "storage/snapshot.h"
 #include "wire/messages.h"
 
 namespace expbsi {
@@ -56,9 +58,30 @@ struct NodeProcess {
   uint16_t port = 0;
 };
 
+// Removes a snapshot directory written by WriteSnapshotDir.
+void RemoveSnapshotDir(const std::string& dir) {
+  const Result<std::vector<std::string>> entries = fileio::ListDir(dir);
+  if (entries.ok()) {
+    for (const std::string& entry : entries.value()) {
+      fileio::RemoveFileIfExists(dir + "/" + entry);
+    }
+  }
+  ::rmdir(dir.c_str());
+}
+
+// Writes `store` as a fresh snapshot directory under the test tmp root --
+// the form expbsi_node recovers its warehouse from -- and returns its path.
+std::string WriteSnapshotDir(const BsiStore& store, const std::string& name) {
+  const std::string dir = ::testing::TempDir() + name;
+  RemoveSnapshotDir(dir);
+  const Result<SnapshotWriteStats> written = SnapshotWriter::Write(store, dir);
+  EXPECT_TRUE(written.ok()) << written.status().ToString();
+  return dir;
+}
+
 // Forks and execs one node; returns pid -1 on any setup failure.
 // `extra_args` are appended verbatim (topology / repair flags).
-NodeProcess SpawnNode(const std::string& store_path, int node_id,
+NodeProcess SpawnNode(const std::string& snapshot_dir, int node_id,
                       const std::vector<std::string>& extra_args = {}) {
   NodeProcess node;
   int to_child[2];   // parent writes (never does) -> child stdin
@@ -84,7 +107,7 @@ NodeProcess SpawnNode(const std::string& store_path, int node_id,
       ::close(fd);
     }
     std::vector<std::string> args = {EXPBSI_NODE_BINARY,
-                                     "--store=" + store_path,
+                                     "--snapshot-dir=" + snapshot_dir,
                                      "--node-id=" + std::to_string(node_id)};
     args.insert(args.end(), extra_args.begin(), extra_args.end());
     std::vector<char*> argv;
@@ -100,7 +123,7 @@ NodeProcess SpawnNode(const std::string& store_path, int node_id,
   node.pid = pid;
   node.stdin_fd = to_child[1];
 
-  // Read the "PORT <p>\n" line. The child loads the store first, so allow
+  // Read the "PORT <p>\n" line. The child recovers its snapshot first, so allow
   // it a generous amount of time; reads block until it writes or dies.
   std::string line;
   char ch;
@@ -169,14 +192,13 @@ TEST(NetProcessTest, CoordinatorOverRealProcessesIsBitIdentical) {
   const ExperimentBsiData bsi = BuildExperimentBsiData(dataset, true);
   const BsiStore cold = BuildColdStore(bsi);
 
-  const std::string store_path =
-      ::testing::TempDir() + "expbsi_net_process_store.bin";
-  ASSERT_TRUE(cold.SaveToFile(store_path).ok());
+  const std::string snapshot_dir =
+      WriteSnapshotDir(cold, "expbsi_net_process_snapshot");
 
   std::vector<NodeProcess> nodes(kNumNodes);
   net::CoordinatorOptions options;
   for (int i = 0; i < kNumNodes; ++i) {
-    nodes[i] = SpawnNode(store_path, i);
+    nodes[i] = SpawnNode(snapshot_dir, i);
     ASSERT_GT(nodes[i].pid, 0) << "failed to spawn node " << i;
     ASSERT_GT(nodes[i].port, 0)
         << "node " << i << " never reported its port";
@@ -239,7 +261,7 @@ TEST(NetProcessTest, CoordinatorOverRealProcessesIsBitIdentical) {
   }
 
   for (NodeProcess& node : nodes) StopNode(&node);
-  ::unlink(store_path.c_str());
+  RemoveSnapshotDir(snapshot_dir);
 }
 
 // Killing a real node process mid-sweep degrades gracefully: the
@@ -266,14 +288,13 @@ TEST(NetProcessTest, KilledProcessIsRoutedAround) {
   const Dataset dataset = GenerateDataset(config, {exp}, {m1}, {});
   const ExperimentBsiData bsi = BuildExperimentBsiData(dataset, true);
   const BsiStore cold = BuildColdStore(bsi);
-  const std::string store_path =
-      ::testing::TempDir() + "expbsi_net_process_kill_store.bin";
-  ASSERT_TRUE(cold.SaveToFile(store_path).ok());
+  const std::string snapshot_dir =
+      WriteSnapshotDir(cold, "expbsi_net_process_kill_snapshot");
 
   std::vector<NodeProcess> nodes(kNumNodes);
   net::CoordinatorOptions options;
   for (int i = 0; i < kNumNodes; ++i) {
-    nodes[i] = SpawnNode(store_path, i);
+    nodes[i] = SpawnNode(snapshot_dir, i);
     ASSERT_GT(nodes[i].pid, 0);
     ASSERT_GT(nodes[i].port, 0);
     options.node_ports.push_back(nodes[i].port);
@@ -309,7 +330,7 @@ TEST(NetProcessTest, KilledProcessIsRoutedAround) {
   }
 
   for (NodeProcess& node : nodes) StopNode(&node);
-  ::unlink(store_path.c_str());
+  RemoveSnapshotDir(snapshot_dir);
 }
 
 // SIGTERM is a graceful drain (satellite of DESIGN.md §11): the node stops
@@ -318,11 +339,10 @@ TEST(NetProcessTest, KilledProcessIsRoutedAround) {
 // connections.
 TEST(NetProcessTest, SigtermDrainsAndExitsZero) {
   // An empty warehouse is enough: this test is about lifecycle, not data.
-  const std::string store_path =
-      ::testing::TempDir() + "expbsi_net_process_drain_store.bin";
-  ASSERT_TRUE(BsiStore().SaveToFile(store_path).ok());
+  const std::string snapshot_dir =
+      WriteSnapshotDir(BsiStore(), "expbsi_net_process_drain_snapshot");
 
-  NodeProcess node = SpawnNode(store_path, 0);
+  NodeProcess node = SpawnNode(snapshot_dir, 0);
   ASSERT_GT(node.pid, 0);
   ASSERT_GT(node.port, 0);
 
@@ -353,7 +373,7 @@ TEST(NetProcessTest, SigtermDrainsAndExitsZero) {
   EXPECT_FALSE(refused.ok()) << "drained node still accepts connections";
 
   StopNode(&node);
-  ::unlink(store_path.c_str());
+  RemoveSnapshotDir(snapshot_dir);
 }
 
 // Replica repair across real process boundaries: a node started on an EMPTY
@@ -382,12 +402,10 @@ TEST(NetProcessTest, ReplicaRepairHealsEmptyNodeAcrossProcesses) {
   const Dataset dataset = GenerateDataset(config, {exp}, {m1}, {});
   const ExperimentBsiData bsi = BuildExperimentBsiData(dataset, true);
   const BsiStore cold = BuildColdStore(bsi);
-  const std::string full_path =
-      ::testing::TempDir() + "expbsi_net_process_repair_full.bin";
-  const std::string empty_path =
-      ::testing::TempDir() + "expbsi_net_process_repair_empty.bin";
-  ASSERT_TRUE(cold.SaveToFile(full_path).ok());
-  ASSERT_TRUE(BsiStore().SaveToFile(empty_path).ok());
+  const std::string full_dir =
+      WriteSnapshotDir(cold, "expbsi_net_process_repair_full");
+  const std::string empty_dir =
+      WriteSnapshotDir(BsiStore(), "expbsi_net_process_repair_empty");
 
   const std::vector<std::string> topology = {
       "--num-nodes=" + std::to_string(kNumNodes),
@@ -398,7 +416,7 @@ TEST(NetProcessTest, ReplicaRepairHealsEmptyNodeAcrossProcesses) {
   std::vector<NodeProcess> nodes(kNumNodes);
   net::CoordinatorOptions options;
   for (int i = 0; i < 2; ++i) {
-    nodes[i] = SpawnNode(full_path, i, topology);
+    nodes[i] = SpawnNode(full_dir, i, topology);
     ASSERT_GT(nodes[i].pid, 0);
     ASSERT_GT(nodes[i].port, 0);
     options.node_ports.push_back(nodes[i].port);
@@ -408,7 +426,7 @@ TEST(NetProcessTest, ReplicaRepairHealsEmptyNodeAcrossProcesses) {
   std::vector<std::string> repair_args = topology;
   repair_args.push_back("--repair-peers=" + std::to_string(nodes[0].port) +
                         "," + std::to_string(nodes[1].port));
-  nodes[2] = SpawnNode(empty_path, 2, repair_args);
+  nodes[2] = SpawnNode(empty_dir, 2, repair_args);
   ASSERT_GT(nodes[2].pid, 0);
   ASSERT_GT(nodes[2].port, 0) << "node 2 died before finishing repair";
   options.node_ports.push_back(nodes[2].port);
@@ -475,8 +493,8 @@ TEST(NetProcessTest, ReplicaRepairHealsEmptyNodeAcrossProcesses) {
   }
 
   for (NodeProcess& node : nodes) StopNode(&node);
-  ::unlink(full_path.c_str());
-  ::unlink(empty_path.c_str());
+  RemoveSnapshotDir(full_dir);
+  RemoveSnapshotDir(empty_dir);
 }
 
 // The fleet observability plane across REAL process boundaries: one of
@@ -507,9 +525,8 @@ TEST(NetProcessTest, InjectedFaultSurfacesInFleetScrapeAndPostmortem) {
   const Dataset dataset = GenerateDataset(config, {exp}, {m1}, {});
   const ExperimentBsiData bsi = BuildExperimentBsiData(dataset, true);
   const BsiStore cold = BuildColdStore(bsi);
-  const std::string store_path =
-      ::testing::TempDir() + "expbsi_net_process_obs_store.bin";
-  ASSERT_TRUE(cold.SaveToFile(store_path).ok());
+  const std::string snapshot_dir =
+      WriteSnapshotDir(cold, "expbsi_net_process_obs_snapshot");
 
   // R=1 so the corrupt node's segments have nowhere to fail over: the query
   // must come back degraded, which is the postmortem trigger under test.
@@ -529,7 +546,7 @@ TEST(NetProcessTest, InjectedFaultSurfacesInFleetScrapeAndPostmortem) {
   for (int i = 0; i < kNumNodes; ++i) {
     std::vector<std::string> extra;
     if (i == victim) extra.push_back("--inject=tier.fetch,corrupt,1.0");
-    nodes[i] = SpawnNode(store_path, i, extra);
+    nodes[i] = SpawnNode(snapshot_dir, i, extra);
     ASSERT_GT(nodes[i].pid, 0);
     ASSERT_GT(nodes[i].port, 0);
     options.node_ports.push_back(nodes[i].port);
@@ -592,7 +609,7 @@ TEST(NetProcessTest, InjectedFaultSurfacesInFleetScrapeAndPostmortem) {
 #endif
 
   for (NodeProcess& node : nodes) StopNode(&node);
-  ::unlink(store_path.c_str());
+  RemoveSnapshotDir(snapshot_dir);
 }
 
 // Kill one replica of an R=2 fleet: results stay complete and bit-identical
@@ -620,14 +637,13 @@ TEST(NetProcessTest, KilledReplicaPostmortemNamesMarkdownAndFailover) {
   const Dataset dataset = GenerateDataset(config, {exp}, {m1}, {});
   const ExperimentBsiData bsi = BuildExperimentBsiData(dataset, true);
   const BsiStore cold = BuildColdStore(bsi);
-  const std::string store_path =
-      ::testing::TempDir() + "expbsi_net_process_markdown_store.bin";
-  ASSERT_TRUE(cold.SaveToFile(store_path).ok());
+  const std::string snapshot_dir =
+      WriteSnapshotDir(cold, "expbsi_net_process_markdown_snapshot");
 
   std::vector<NodeProcess> nodes(kNumNodes);
   net::CoordinatorOptions options;
   for (int i = 0; i < kNumNodes; ++i) {
-    nodes[i] = SpawnNode(store_path, i);
+    nodes[i] = SpawnNode(snapshot_dir, i);
     ASSERT_GT(nodes[i].pid, 0);
     ASSERT_GT(nodes[i].port, 0);
     options.node_ports.push_back(nodes[i].port);
@@ -685,7 +701,7 @@ TEST(NetProcessTest, KilledReplicaPostmortemNamesMarkdownAndFailover) {
 #endif
 
   for (NodeProcess& node : nodes) StopNode(&node);
-  ::unlink(store_path.c_str());
+  RemoveSnapshotDir(snapshot_dir);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 
 #include "cluster/adhoc_cluster.h"
 #include "cluster/placement.h"
+#include "common/byte_io.h"
 #include "common/crc32c.h"
 #include "net/node_health.h"
 #include "engine/experiment_data.h"
@@ -32,7 +33,6 @@
 #include "net/socket.h"
 #include "net/transport.h"
 #include "obs/trace.h"
-#include "wire/byte_io.h"
 #include "wire/envelope.h"
 #include "wire/messages.h"
 
@@ -170,7 +170,7 @@ TEST(WireMessagesTest, RejectsOverdeclaredCounts) {
   // A 4-byte payload declaring 2^30 strategy ids must be rejected by the
   // count-vs-remaining-bytes check, never allocated.
   std::string payload;
-  wire::PutU32(&payload, 1u << 30);
+  PutU32(&payload, 1u << 30);
   EXPECT_FALSE(wire::DecodeQueryRequest(payload).ok());
   EXPECT_FALSE(wire::DecodeQueryResponse(payload).ok());
 }
@@ -249,8 +249,8 @@ TEST(WireMessagesTest, SegmentPushRejectsMalformedPayloads) {
   EXPECT_FALSE(wire::DecodeSegmentPush(payload).ok());
   // Hostile blob count with no bytes behind it: rejected before allocation.
   std::string hostile;
-  wire::PutU32(&hostile, 3);          // segment
-  wire::PutU32(&hostile, 1u << 30);   // count
+  PutU32(&hostile, 3);          // segment
+  PutU32(&hostile, 1u << 30);   // count
   EXPECT_FALSE(wire::DecodeSegmentPush(hostile).ok());
   // Overdeclared blob length.
   wire::WireSegmentPush long_blob = push;

@@ -186,64 +186,7 @@ TEST(BsiStoreTest, FingerprintTracksBlobContent) {
   EXPECT_NE(BlobFingerprint(""), BlobFingerprint(std::string(1, '\0')));
 }
 
-}  // namespace
-}  // namespace expbsi
-
-namespace expbsi {
-namespace {
-
-TEST(BsiStorePersistenceTest, SaveLoadRoundTrip) {
-  BsiStore store;
-  store.Put({1, BsiKind::kExpose, 42, 0}, "expose blob");
-  store.Put({2, BsiKind::kMetric, 8371, 19}, std::string(5000, 'x'));
-  store.Put({3, BsiKind::kDimension, 7, 20}, "");
-  const std::string path = ::testing::TempDir() + "/bsi_store_roundtrip.bin";
-  ASSERT_TRUE(store.SaveToFile(path).ok());
-  Result<BsiStore> loaded = BsiStore::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().NumBlobs(), 3u);
-  EXPECT_EQ(loaded.value().TotalBytes(), store.TotalBytes());
-  EXPECT_EQ(*loaded.value().Get({1, BsiKind::kExpose, 42, 0}).value(),
-            "expose blob");
-  EXPECT_EQ(loaded.value().Get({2, BsiKind::kMetric, 8371, 19}).value()->size(),
-            5000u);
-  EXPECT_TRUE(loaded.value().Contains({3, BsiKind::kDimension, 7, 20}));
-}
-
-TEST(BsiStorePersistenceTest, LoadErrors) {
-  EXPECT_EQ(BsiStore::LoadFromFile("/nonexistent/dir/f.bin").status().code(),
-            StatusCode::kNotFound);
-  // Truncated file.
-  const std::string path = ::testing::TempDir() + "/bsi_store_trunc.bin";
-  BsiStore store;
-  store.Put({1, BsiKind::kMetric, 1, 1}, "payload payload payload");
-  ASSERT_TRUE(store.SaveToFile(path).ok());
-  {
-    FILE* f = fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::string bytes(100, '\0');
-    const size_t n = fread(bytes.data(), 1, bytes.size(), f);
-    fclose(f);
-    f = fopen(path.c_str(), "wb");
-    fwrite(bytes.data(), 1, n - 5, f);  // drop the tail
-    fclose(f);
-  }
-  EXPECT_EQ(BsiStore::LoadFromFile(path).status().code(),
-            StatusCode::kCorruption);
-  // Bad magic.
-  {
-    FILE* f = fopen(path.c_str(), "wb");
-    const uint32_t bad = 0xdeadbeef;
-    fwrite(&bad, sizeof(bad), 1, f);
-    const uint64_t zero = 0;
-    fwrite(&zero, sizeof(zero), 1, f);
-    fclose(f);
-  }
-  EXPECT_EQ(BsiStore::LoadFromFile(path).status().code(),
-            StatusCode::kCorruption);
-}
-
-TEST(BsiStorePersistenceTest, ForEachVisitsAll) {
+TEST(BsiStoreTest, ForEachVisitsAll) {
   BsiStore store;
   store.Put({1, BsiKind::kMetric, 1, 1}, "a");
   store.Put({2, BsiKind::kMetric, 2, 2}, "bb");
